@@ -1,29 +1,24 @@
-"""Bounded enumeration of admissible data, deduplicated by canonical form.
+"""Bounded enumeration of admissible data, one per equivalence class.
 
 Every admissible datum inside the bounds is produced exactly once up to
 equivalence, in a deterministic order: orientable before nonorientable, then
-increasing genus, circle counts, pair multisets, graphs, and obstruction.
-Candidates the admissibility conditions reject (a nonorientable surface of
-genus 0, a nonzero obstruction next to boundary structure) are silently
-skipped, which is what makes hand counts at tiny bounds easy to verify.
+increasing genus, circle counts, graphs, pair multisets, and obstruction.
+The stream is admissible and distinct by construction: nonorientable
+surfaces start at genus 1, pairs and cycle words are generated in their
+normalized, sorted form, and the obstruction ranges only over the values
+condition (1) allows in each stratum.  No candidate is validated, compared
+or remembered, so memory does not grow with the stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterator
 
-from .cyclegraph import Cycle, CycleGraph, EdgeLabel, canonicalize_cycle, validate_graph
-from .invariants import (
-    NONORIENTABLE,
-    ORIENTABLE,
-    OrbitInvariants,
-    SeifertPair,
-    canonical_form,
-    validate,
-)
+from .cyclegraph import Cycle, CycleGraph, EdgeLabel, canonicalize_cycle
+from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair
 
 
 @dataclass(frozen=True)
@@ -51,42 +46,30 @@ class EnumerationBounds:
             raise ValueError(f"empty b_range {self.b_range}")
 
 
-# Interior label -> boundary labels that may follow it, and back.
-_NEXT = {
-    EdgeLabel.F: (EdgeLabel.SP, EdgeLabel.RP),
-    EdgeLabel.SE: (EdgeLabel.K, EdgeLabel.RP),
-    EdgeLabel.SP: (EdgeLabel.F,),
-    EdgeLabel.K: (EdgeLabel.SE,),
-    EdgeLabel.RP: (EdgeLabel.F, EdgeLabel.SE),
+# The boundary arc between two consecutive interior arcs is forced by them.
+_FORCED = {
+    (EdgeLabel.F, EdgeLabel.F): EdgeLabel.SP,
+    (EdgeLabel.SE, EdgeLabel.SE): EdgeLabel.K,
+    (EdgeLabel.F, EdgeLabel.SE): EdgeLabel.RP,
+    (EdgeLabel.SE, EdgeLabel.F): EdgeLabel.RP,
 }
 
 
 def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
     """All canonical words of admissible cycles with at most ``max_len`` edges.
 
-    A depth-first walk over the adjacency relation proposes candidate
-    cycles; ``validate_graph`` has the final say (it also enforces the
-    rule that an RP arc joins one F and one SE arc, which is not a pairwise
-    constraint).
+    A valid cycle alternates interior and boundary arcs, and every boundary
+    arc is forced by its two interior neighbours (F.F -> SP, SE.SE -> K,
+    mixed -> RP), so the valid cycles with 2k edges are exactly the binary
+    F/SE words of length k with their boundary arcs filled in.
     """
-    found: set[Cycle] = set()
-
-    def extend(word: list[EdgeLabel], target: int) -> None:
-        if len(word) == target:
-            candidate = tuple(word)
-            if candidate[0] in _NEXT[candidate[-1]]:
-                if validate_graph(CycleGraph((candidate,))).ok:
-                    found.add(canonicalize_cycle(candidate))
-            return
-        for nxt in _NEXT[word[-1]]:
-            word.append(nxt)
-            extend(word, target)
-            word.pop()
-
-    for length in range(2, max_len + 1, 2):
-        # canonical words start with an interior label
-        for start in (EdgeLabel.F, EdgeLabel.SE):
-            extend([start], length)
+    found = set()
+    for k in range(1, max_len // 2 + 1):
+        for interior in product((EdgeLabel.F, EdgeLabel.SE), repeat=k):
+            word = []
+            for i, lab in enumerate(interior):
+                word += (lab, _FORCED[lab, interior[(i + 1) % k]])
+            found.add(canonicalize_cycle(word))
     return tuple(sorted(found))
 
 
@@ -114,13 +97,18 @@ def _pairs_for(eps, bounds: EnumerationBounds) -> list[tuple[SeifertPair, ...]]:
 
 def enumerate_invariants(bounds: EnumerationBounds) -> Iterator[OrbitInvariants]:
     """Stream the census in a deterministic order, one datum per equivalence
-    class."""
-    seen = set()
+    class.
+
+    Every datum is admissible and distinct by construction: pair multisets
+    are sorted and normalized, graphs are sorted multisets of canonical
+    words, and b is restricted per stratum, so each candidate is already its
+    own canonical form.
+    """
     graphs = _graphs(bounds)
     lo, hi = bounds.b_range
     for eps in (ORIENTABLE, NONORIENTABLE):
         pair_multisets = _pairs_for(eps, bounds)
-        for g in range(0, bounds.max_g + 1):
+        for g in range(0 if eps is ORIENTABLE else 1, bounds.max_g + 1):
             for f in range(0, bounds.max_f + 1):
                 for s in range(0, bounds.max_s + 1):
                     for t in range(0, bounds.max_t + 1):
@@ -134,12 +122,5 @@ def enumerate_invariants(bounds: EnumerationBounds) -> Iterator[OrbitInvariants]
                                 else:
                                     bs = tuple(range(lo, hi + 1))
                                 for b in bs:
-                                    inv = OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s,
+                                    yield OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s,
                                                           t=t, pairs=pairs, graph=graph)
-                                    if not validate(inv).ok:
-                                        continue
-                                    form = canonical_form(inv)
-                                    if form in seen:
-                                        continue
-                                    seen.add(form)
-                                    yield inv

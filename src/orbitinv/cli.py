@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .capping import cap_off
 from .census import EnumerationBounds, enumerate_invariants
 from .formality import euler_number, is_formal
 from .invariants import (
-    InvariantError,
     OrbitInvariants,
     canonical_form,
     classify_2d,
@@ -34,12 +34,6 @@ def _read_datum(arg: str) -> OrbitInvariants:
         with open(arg[1:], encoding="utf-8") as handle:
             arg = handle.read().strip()
     return parse(arg)
-
-
-def _require_valid_for_cli(inv: OrbitInvariants) -> None:
-    report = validate(inv)
-    if not report.ok:
-        raise InvariantError(report)
 
 
 def cmd_validate(args) -> int:
@@ -133,7 +127,6 @@ def cmd_formal(args) -> int:
 
 def cmd_euler(args) -> int:
     inv = _read_datum(args.datum)
-    _require_valid_for_cli(inv)
     value = euler_number(inv)
     if args.json:
         print(emit_json(value))
@@ -227,7 +220,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (`orbitinv enumerate ... | head`): stop quietly,
+        # and point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .elements import CohomElement, EquivariantCohomology
 from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, require_valid
 from .polyq import Poly
-from .series import betti
+from .series import equivariant_poincare
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def is_formal(inv: OrbitInvariants) -> FormalityResult:
         }[(inv.eps is ORIENTABLE, inv.s)]
         return FormalityResult(True, branch, _formal_generators(inv))
 
-    b1, b3 = betti(inv, 1), betti(inv, 3)
+    _, b1, _, b3 = equivariant_poincare(inv).expansion(3)
     return FormalityResult(
         formal=False,
         reason=f"odd Betti numbers decrease: dim H^1 = {b1} > dim H^3 = {b3}, "
@@ -147,8 +147,10 @@ def euler_number(inv: OrbitInvariants) -> Fraction:
     Exactly zero when the orbit surface is nonorientable or s > 0; otherwise
     b + sum of the inverses l_i/m_i.  Raises ``ValueError`` for data with
     fixed circles (the degree-2 class is then not a number; use
-    ``module_action``) and for with-boundary data.
+    ``module_action``), for with-boundary data, and (as
+    :class:`InvariantError`) for inadmissible data.
     """
+    require_valid(inv, "euler_number")
     if not inv.closed:
         raise ValueError("orbifold Euler number is defined for closed data only")
     if inv.f > 0:

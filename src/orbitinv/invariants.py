@@ -169,6 +169,11 @@ class InvariantError(ValueError):
         super().__init__(prefix + str(report))
 
 
+def _is_int(value) -> bool:
+    """An exact integer field value; ``bool`` is an ``int`` but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(inv: OrbitInvariants) -> ValidationReport:
     """Total admissibility check; violations are returned, never raised."""
     violations: list[Violation] = []
@@ -179,10 +184,10 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
     counts_ok = True
     for name in ("g", "f", "s", "t"):
         value = getattr(inv, name)
-        if not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             bad("domain", f"{name} must be a nonnegative integer, got {value!r}")
             counts_ok = False
-    if not isinstance(inv.b, int):
+    if not _is_int(inv.b):
         bad("domain", f"b must be an integer, got {inv.b!r}")
         counts_ok = False
 
@@ -200,6 +205,9 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
 
     for idx, pair in enumerate(inv.pairs):
         where = f"pair #{idx} {pair}"
+        if not (_is_int(pair.m) and _is_int(pair.n)):
+            bad("domain", f"{where}: m and n must be integers, got {pair.m!r}, {pair.n!r}")
+            continue
         if pair.m < 2 or pair.n < 1:
             bad("2", f"{where}: need m >= 2 and n >= 1")
             continue
@@ -227,7 +235,7 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
         if counts.v_f % 2 or counts.v_s % 2 or counts.r_p % 2:
             bad("parity", "corner and RP counts must all be even")
 
-    if inv.eps is NONORIENTABLE and isinstance(inv.g, int) and inv.g < 1:
+    if inv.eps is NONORIENTABLE and _is_int(inv.g) and inv.g < 1:
         bad("nonorientable-genus", f"a nonorientable surface has genus >= 1, got g={inv.g}")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -248,18 +256,20 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
     (m, min(n, m-n)); for nonorientable closed data without fixed or
     special-exceptional circles b is reduced mod 2, and set to 0 outright
     when some m_i = 2.  Anything else (a pair with gcd > 1, a bad graph, and
-    so on) is not normalizable and is returned unchanged so that ``validate``
-    still reports it.  Idempotent.
+    so on, including non-integer field values) is not normalizable and is
+    returned unchanged so that ``validate`` still reports it.  Idempotent and
+    total.
     """
     pairs = inv.pairs
     if inv.eps is NONORIENTABLE:
         pairs = tuple(
-            SeifertPair(p.m, min(p.n, p.m - p.n)) if 0 < p.n < p.m else p
+            SeifertPair(p.m, min(p.n, p.m - p.n))
+            if _is_int(p.m) and _is_int(p.n) and 0 < p.n < p.m else p
             for p in pairs
         )
     b = inv.b
-    if (inv.eps is NONORIENTABLE and inv.f + inv.s + inv.t == 0 and not inv.graph
-            and isinstance(b, int)):
+    if (inv.eps is NONORIENTABLE and all(_is_int(v) for v in (b, inv.f, inv.s, inv.t))
+            and inv.f + inv.s + inv.t == 0 and not inv.graph):
         b %= 2
         if any(p.m == 2 for p in pairs):
             b = 0

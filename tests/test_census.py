@@ -1,4 +1,6 @@
-"""Bounded enumeration: hand counts, dedup, determinism."""
+"""Bounded enumeration: hand counts, dedup, determinism, the pinned stream."""
+
+import hashlib
 
 import pytest
 
@@ -70,6 +72,20 @@ class TestCensusProperties:
     def test_duplicate_free_up_to_canonical_form(self):
         forms = [canonical_form(inv) for inv in enumerate_invariants(self.BOUNDS)]
         assert len(forms) == len(set(forms))
+
+    def test_stream_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for inv in enumerate_invariants(self.BOUNDS):
+            digest.update((serialize(inv) + "\n").encode())
+            count += 1
+        assert count == 8910
+        assert digest.hexdigest() == (
+            "fdf04a968cb213c1a0fe0d2b46ecd128f792614d4979c57633f09fe1fc303af4")
+
+    def test_no_nonorientable_genus_zero(self):
+        assert not any(inv.eps.value == "n" and inv.g == 0
+                       for inv in enumerate_invariants(self.BOUNDS))
 
     def test_deterministic(self):
         first = [serialize(x) for x in enumerate_invariants(self.BOUNDS)]

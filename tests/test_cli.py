@@ -1,6 +1,10 @@
 """Exit codes and rendered output of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +126,20 @@ class TestEnumerate:
     def test_bad_bounds_exit_one(self, capsys):
         code, _, err = run(capsys, "enumerate", "--bounds", "max_g")
         assert code == 1 and "key=value" in err
+
+    def test_closed_pipe_exits_quietly(self):
+        # `orbitinv enumerate ... | head -1` on a box whose 8,910 lines are
+        # far more than a pipe buffer holds, so the writer must meet the
+        # closed pipe.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "orbitinv.cli", "enumerate", "--bounds",
+                "max_g=1", "max_f=1", "max_s=1", "max_t=1", "max_r=2", "max_m=4",
+                "max_cycles=2", "max_cycle_len=4", "b_range=-2..2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert first == b"{b=-2;(o,g=0,f=0,s=0,t=0)}\n"
+        assert proc.returncode == 0
+        assert err == b""

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbitinv import (
+    InvariantError,
     OrbitInvariants,
     PoincareSeries,
     Poly,
@@ -137,9 +138,7 @@ class TestEulerNumber:
         assert euler_number(datum(b=0)) == 0
 
     def test_nonorientable_or_special_gives_zero(self):
-        # the zero branch only reads eps and s, so even the b=1 presentation
-        # of this datum answers 0
-        assert euler_number(datum(b=1, eps="n", g=1, s=1)) == 0
+        assert euler_number(datum(b=0, eps="n", g=1, s=1)) == 0
         assert euler_number(datum(b=0, eps="n", g=2)) == 0
         assert euler_number(datum(b=0, g=1, s=2)) == 0
 
@@ -150,3 +149,10 @@ class TestEulerNumber:
     def test_boundary_rejected(self):
         with pytest.raises(ValueError, match="closed"):
             euler_number(datum(t=1))
+
+    def test_inadmissible_rejected(self):
+        # s > 0 forces b = 0, so the b=1 presentation is not a datum at all
+        with pytest.raises(InvariantError, match="euler_number"):
+            euler_number(datum(b=1, eps="n", g=1, s=1))
+        with pytest.raises(InvariantError):
+            euler_number(datum(b=7, eps="n", g=0, pairs=[(4, 2)]))

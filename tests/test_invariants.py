@@ -72,6 +72,19 @@ class TestValidate:
         assert not report.ok
         assert all(v.condition == "domain" for v in report.violations)
 
+    @pytest.mark.parametrize("pair", [SeifertPair("3", 1), SeifertPair(3, 1.0),
+                                      SeifertPair(True, 1), SeifertPair(3, True)])
+    def test_non_integer_pair_entries_reported_not_raised(self, pair):
+        report = validate(datum(g=1, pairs=(pair,)))
+        assert [v.condition for v in report.violations] == ["domain"]
+
+    @pytest.mark.parametrize("field", ["b", "g", "f", "s", "t"])
+    @pytest.mark.parametrize("value", [True, False, "1", 1.0])
+    def test_non_integer_fields_reported_not_raised(self, field, value):
+        report = validate(datum(eps="n", g=1).replace(**{field: value}))
+        assert not report.ok
+        assert "domain" in [v.condition for v in report.violations]
+
 
 class TestNormalize:
     def test_nonorientable_pair_reduction(self):
@@ -101,6 +114,18 @@ class TestNormalize:
         for inv in enumerate_invariants(bounds):
             once = normalize(inv)
             assert normalize(once) == once
+
+    @pytest.mark.parametrize("inv", [
+        datum(eps="n", g=1, pairs=(SeifertPair("3", 1),)),
+        datum(eps="n", g=1, pairs=(SeifertPair(5, 4.0),)),
+        datum(b=True, eps="n", g=1),
+        datum(b=3, eps="n", g=1, f="0"),
+        datum(b=1.0, eps="n", g=1),
+    ])
+    def test_non_integer_values_left_for_validate(self, inv):
+        assert normalize(inv) == inv
+        with pytest.raises(InvariantError, match="domain"):
+            canonical_form(inv)
 
     @given(st.integers(-9, 9), st.sampled_from("on"), st.integers(0, 3),
            st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
