@@ -10,7 +10,7 @@ notation, and the remaining modules for the operations on it.
 """
 
 from .capping import CappingError, CappingReport, cap_off, orbit_euler_characteristic, verify_capping
-from .census import EnumerationBounds, enumerate_invariants, valid_cycle_words
+from .census import EnumerationBounds, enumerate_invariants
 from .cyclegraph import (
     EMPTY_GRAPH,
     CycleGraph,
@@ -21,6 +21,7 @@ from .cyclegraph import (
     graph_canonical,
     graphs_isomorphic,
     render_cycle,
+    valid_cycle_words,
     validate_graph,
     vertex_labels,
 )

@@ -72,6 +72,10 @@ def orbit_euler_characteristic(inv: OrbitInvariants) -> int:
     has chi = 2 - 2g - B when orientable and chi = 2 - g - B when not.
     """
     require_valid(inv, "orbit_euler_characteristic")
+    return _chi(inv)
+
+
+def _chi(inv: OrbitInvariants) -> int:
     B = inv.boundary_circles
     if inv.eps is ORIENTABLE:
         return 2 - 2 * inv.g - B
@@ -152,7 +156,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
     if inv.closed:
         raise CappingError("datum is already closed: nothing to cap")
 
-    chi_before = orbit_euler_characteristic(inv)
+    chi_before = _chi(inv)
     notes: list[str] = []
     if inv.t:
         notes.append(f"filled {inv.t} torus boundary circle(s) with solid tori")
@@ -166,16 +170,17 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
         new_f += cf
         new_se += cse
         rp_total += 2 * len(pairs)
+        shown = render_cycle(word)
         for pair in pairs:
             pairings.append((ci, pair))
-            notes.append(f"cycle {ci} {render_cycle(word)}: sewed RP arcs at "
+            notes.append(f"cycle {ci} {shown}: sewed RP arcs at "
                          f"positions {pair[0]} and {pair[1]} into one F and one SE arc")
         made = []
         if cf:
             made.append(f"{cf} fixed circle(s)")
         if cse:
             made.append(f"{cse} special-exceptional circle(s)")
-        notes.append(f"cycle {ci} {render_cycle(word)} closed up into " + " and ".join(made))
+        notes.append(f"cycle {ci} {shown} closed up into " + " and ".join(made))
 
     chi_after = chi_before + inv.t - rp_total // 2
     f_out = inv.f + new_f
@@ -214,7 +219,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
         rp_pairings=tuple(pairings),
         notes=tuple(notes),
     )
-    if not verify_capping(report):
+    if not _verify_output(report):
         raise CappingError("internal consistency failure: capping result does not verify")
     return report
 
@@ -223,16 +228,17 @@ def verify_capping(report: CappingReport) -> bool:
     """Recheck a report from scratch: the output must be an admissible closed
     datum with b = 0 and the Euler characteristics must satisfy
     chi_after = chi_before + t - r_p/2."""
+    return validate(report.input).ok and _verify_output(report)
+
+
+def _verify_output(report: CappingReport) -> bool:
+    """``verify_capping`` for a report whose input is known admissible."""
     out = report.output
     if not validate(out).ok:
         return False
     if out.t != 0 or out.graph or out.b != 0:
         return False
-    if not validate(report.input).ok:
-        return False
-    if report.chi_before != orbit_euler_characteristic(report.input):
-        return False
-    if report.chi_after != orbit_euler_characteristic(out):
+    if report.chi_before != _chi(report.input) or report.chi_after != _chi(out):
         return False
     r_p = report.input.graph.edge_count(EdgeLabel.RP)
     return report.chi_after == report.chi_before + report.input.t - r_p // 2

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .cyclegraph import Cycle, CycleGraph, EdgeLabel, canonicalize_cycle
+from .cyclegraph import CycleGraph, valid_cycle_words
 from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair
 
 
@@ -44,33 +44,6 @@ class EnumerationBounds:
         lo, hi = self.b_range
         if lo > hi:
             raise ValueError(f"empty b_range {self.b_range}")
-
-
-# The boundary arc between two consecutive interior arcs is forced by them.
-_FORCED = {
-    (EdgeLabel.F, EdgeLabel.F): EdgeLabel.SP,
-    (EdgeLabel.SE, EdgeLabel.SE): EdgeLabel.K,
-    (EdgeLabel.F, EdgeLabel.SE): EdgeLabel.RP,
-    (EdgeLabel.SE, EdgeLabel.F): EdgeLabel.RP,
-}
-
-
-def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
-    """All canonical words of admissible cycles with at most ``max_len`` edges.
-
-    A valid cycle alternates interior and boundary arcs, and every boundary
-    arc is forced by its two interior neighbours (F.F -> SP, SE.SE -> K,
-    mixed -> RP), so the valid cycles with 2k edges are exactly the binary
-    F/SE words of length k with their boundary arcs filled in.
-    """
-    found = set()
-    for k in range(1, max_len // 2 + 1):
-        for interior in product((EdgeLabel.F, EdgeLabel.SE), repeat=k):
-            word = []
-            for i, lab in enumerate(interior):
-                word += (lab, _FORCED[lab, interior[(i + 1) % k]])
-            found.add(canonicalize_cycle(word))
-    return tuple(sorted(found))
 
 
 def _graphs(bounds: EnumerationBounds) -> list[CycleGraph]:

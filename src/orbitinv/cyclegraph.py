@@ -14,15 +14,17 @@ five labels:
 F and SE are interior-type labels (they bound the fixed and special
 exceptional sets), SP/K/RP are boundary-type labels.  Around a cycle the two
 kinds alternate, and the corner between two consecutive arcs is F-type or
-SE-type according to the interior arc it touches.  The admissible
-adjacencies are:
+SE-type according to the interior arc it touches.  Every boundary arc is
+forced by the two interior arcs it joins:
 
-    F  only next to SP or RP        SP only between two F arcs
-    SE only next to K  or RP        K  only between two SE arcs
-                                    RP only between one F and one SE arc
+    F  . F   ->  SP
+    SE . SE  ->  K
+    F  . SE  ->  RP   (in either order)
 
-A consequence of these rules is that every valid cycle has even length and
-contains an even number of RP edges.
+A valid cycle is exactly an alternating word of at least two arcs whose
+boundary arcs obey this rule.  Alternation makes its length even, and since
+a cyclic F/SE word switches between F and SE an even number of times, it
+contains an even number of RP arcs.
 
 Cycles are unoriented and have no distinguished starting edge, so two cycles
 are the same exactly when one is a rotation or a reflection of the other.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 
@@ -109,7 +112,7 @@ EMPTY_GRAPH = CycleGraph()
 
 @dataclass(frozen=True)
 class GraphViolation:
-    """One broken adjacency or shape rule, located by cycle and edge position."""
+    """One break of the cycle rule, located by cycle and edge position."""
 
     cycle: int
     position: int | None
@@ -131,66 +134,55 @@ class GraphReport:
         return self.ok
 
 
-# Interior labels admissible next to each boundary-type label and vice versa.
-_ALLOWED_NEIGHBOURS = {
-    EdgeLabel.F: (EdgeLabel.SP, EdgeLabel.RP),
-    EdgeLabel.SE: (EdgeLabel.K, EdgeLabel.RP),
-    EdgeLabel.SP: (EdgeLabel.F, EdgeLabel.F),
-    EdgeLabel.K: (EdgeLabel.SE, EdgeLabel.SE),
-}
-
-_ALLOWED_TEXT = {
-    EdgeLabel.F: "SP or RP",
-    EdgeLabel.SE: "K or RP",
-}
+# The boundary arc between two consecutive interior arcs, indexed by their
+# label values: F.F -> SP, SE.SE -> K, mixed -> RP.
+_FORCED = ((EdgeLabel.SP, EdgeLabel.RP), (EdgeLabel.RP, EdgeLabel.K))
 
 
 def validate_graph(graph: CycleGraph) -> GraphReport:
-    """Check every cycle of ``graph`` against the adjacency rules.
+    """Check every cycle of ``graph`` against the forcing rule.
 
     Returns a report rather than raising: violations are data.  Each
-    violation names the offending cycle and, where meaningful, the edge
-    position inside it.
+    violation names the offending cycle and, for cycles of at least two
+    edges, the edge position inside it.
     """
     violations: list[GraphViolation] = []
-    F, SE, RP = EdgeLabel.F, EdgeLabel.SE, EdgeLabel.RP
-    interior = (True, True, False, False, False)  # indexed by label value
-
-    def bad(ci: int, pos: int | None, msg: str) -> None:
-        violations.append(GraphViolation(ci, pos, msg))
-
     for ci, cycle in enumerate(graph.cycles):
         n = len(cycle)
         if n < 2:
-            bad(ci, None, f"cycle has {n} edge(s); at least 2 are required")
+            violations.append(GraphViolation(
+                ci, None, f"cycle has {n} edge(s); at least 2 are required"))
             continue
-        if n % 2:
-            bad(ci, None, f"cycle has odd length {n}; interior and boundary arcs must alternate")
         left = cycle[-1]
         for i, lab in enumerate(cycle):
             right = cycle[i + 1] if i + 1 < n else cycle[0]
-            if interior[lab]:
-                allowed = _ALLOWED_NEIGHBOURS[lab]
-                for nb in (left, right):
-                    if nb not in allowed:
-                        bad(ci, i, f"{lab.name} arc next to {nb.name}; {lab.name} "
-                                   f"may only meet {_ALLOWED_TEXT[lab]}")
-            elif lab is RP:
-                if not ((left is F and right is SE) or (left is SE and right is F)):
-                    bad(ci, i, f"RP arc between {left.name} and {right.name}; "
-                               "RP must join one F arc and one SE arc")
-            else:
-                want = _ALLOWED_NEIGHBOURS[lab][0]
-                for nb in (left, right):
-                    if nb is not want:
-                        bad(ci, i, f"{lab.name} arc next to {nb.name}; {lab.name} "
-                                   f"must lie between two {want.name} arcs")
+            # Label values below 2 are the interior arcs F and SE.
+            if (lab < 2) is (right < 2):
+                violations.append(GraphViolation(
+                    ci, i, f"{lab.name} arc next to {right.name}; interior (F, SE) and "
+                           "boundary (SP, K, RP) arcs must alternate"))
+            elif left < 2 and lab > 1 and lab is not _FORCED[left][right]:
+                violations.append(GraphViolation(
+                    ci, i, f"{lab.name} arc between {left.name} and {right.name}; "
+                           f"only {_FORCED[left][right].name} may join them"))
             left = lab
-        # Implied by the adjacency rules, asserted independently.
-        if cycle.count(RP) % 2:
-            bad(ci, None, f"cycle contains an odd number ({cycle.count(RP)}) of RP arcs")
-
     return GraphReport(ok=not violations, violations=tuple(violations))
+
+
+def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
+    """All canonical words of admissible cycles with at most ``max_len`` edges.
+
+    By the forcing rule the valid cycles with 2k edges are exactly the binary
+    F/SE words of length k with their boundary arcs filled in.
+    """
+    found = set()
+    for k in range(1, max_len // 2 + 1):
+        for interior in product((EdgeLabel.F, EdgeLabel.SE), repeat=k):
+            word = []
+            for i, lab in enumerate(interior):
+                word += (lab, _FORCED[lab][interior[(i + 1) % k]])
+            found.add(canonicalize_cycle(word))
+    return tuple(sorted(found))
 
 
 def _rotations(word: Cycle):

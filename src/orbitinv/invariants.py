@@ -21,7 +21,7 @@ is admissible when:
        as soon as some m_i = 2;
   (2)  every pair has gcd(m, n) = 1 with 0 < n < m for eps = o and
        0 < n <= m/2 for eps = n;
-  (3)  G satisfies the cycle-graph adjacency rules.
+  (3)  G satisfies the cycle-graph forcing rule.
 
 Nonorientable surfaces have genus at least 1, so eps = n additionally
 requires g >= 1.  Validation is total: it accepts arbitrary field values and
@@ -136,8 +136,8 @@ class OrbitInvariants:
 
 @dataclass(frozen=True)
 class Violation:
-    """A broken admissibility condition: (1), (2), (3), parity,
-    nonorientable-genus, or domain for malformed field values."""
+    """A broken admissibility condition: (1), (2), (3), nonorientable-genus,
+    or domain for malformed field values."""
 
     condition: str
     message: str
@@ -181,6 +181,8 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
     def bad(condition: str, message: str) -> None:
         violations.append(Violation(condition, message))
 
+    if not isinstance(inv.eps, Orientability):
+        bad("domain", f"eps must be 'o' or 'n', got {inv.eps!r}")
     counts_ok = True
     for name in ("g", "f", "s", "t"):
         value = getattr(inv, name)
@@ -216,24 +218,12 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
         if inv.eps is ORIENTABLE:
             if not pair.n < pair.m:
                 bad("2", f"{where}: need 0 < n < m for orientable data")
-        else:
+        elif inv.eps is NONORIENTABLE:
             if not 2 * pair.n <= pair.m:
                 bad("2", f"{where}: need 0 < n <= m/2 for nonorientable data")
 
-    graph_report = validate_graph(inv.graph)
-    for gv in graph_report.violations:
+    for gv in validate_graph(inv.graph).violations:
         bad("3", str(gv))
-
-    if graph_report.ok and counts_ok:
-        counts = derived_counts(inv)
-        if not (counts.v_f == 2 * counts.f0_minus_f == 2 * counts.s_p + counts.r_p):
-            bad("parity", f"corner count v_f={counts.v_f} breaks "
-                          f"v_f = 2(f0-f) = 2*s_p + r_p")
-        if not (counts.v_s == 2 * counts.s0_minus_s == 2 * counts.k + counts.r_p):
-            bad("parity", f"corner count v_s={counts.v_s} breaks "
-                          f"v_s = 2(s0-s) = 2*k + r_p")
-        if counts.v_f % 2 or counts.v_s % 2 or counts.r_p % 2:
-            bad("parity", "corner and RP counts must all be even")
 
     if inv.eps is NONORIENTABLE and _is_int(inv.g) and inv.g < 1:
         bad("nonorientable-genus", f"a nonorientable surface has genus >= 1, got g={inv.g}")
@@ -278,8 +268,9 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
 
 @dataclass(frozen=True)
 class DerivedCounts:
-    """Counts read off the graph, tied together by the corner identities
-    v_f = 2(f0-f) = 2*s_p + r_p and v_s = 2(s0-s) = 2*k + r_p."""
+    """Counts read off the graph of an admissible datum, tied together by the
+    corner identities v_f = 2(f0-f) = 2*s_p + r_p and v_s = 2(s0-s) = 2*k + r_p,
+    which the forcing rule implies."""
 
     f0_minus_f: int
     s0_minus_s: int
@@ -292,11 +283,13 @@ class DerivedCounts:
 
 
 def derived_counts(inv: OrbitInvariants) -> DerivedCounts:
-    """Edge and corner counts of the datum's graph.
+    """Edge and corner counts of an admissible datum's graph, as a report.
 
     Corners are counted by their type (each corner touches exactly one
-    interior arc, whose label decides F-type versus SE-type), so the parity
-    identities act as an independent cross-check on the edge counts.
+    interior arc, whose label decides F-type versus SE-type).  ``validate``
+    does not consult these counts: the identities follow from the forcing
+    rule, and the tests check them independently.  Raises ``ValueError``
+    when the graph has a corner of undetermined type.
     """
     graph = inv.graph
     v_f = v_s = 0

@@ -161,6 +161,10 @@ class FixedSetShape:
 
 def fixed_set_shape(inv: OrbitInvariants) -> FixedSetShape:
     require_valid(inv, "fixed_set_shape")
+    return _fixed_set_shape(inv)
+
+
+def _fixed_set_shape(inv: OrbitInvariants) -> FixedSetShape:
     return FixedSetShape(circles=inv.f, intervals=inv.graph.edge_count(EdgeLabel.F))
 
 
@@ -173,6 +177,10 @@ def orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
     circles.
     """
     require_valid(inv, "orbit_space_poincare")
+    return _orbit_space_poincare(inv)
+
+
+def _orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
     B = inv.boundary_circles
     if inv.eps is ORIENTABLE:
         poly = Poly((1, 2 * inv.g, 1)) if B == 0 else Poly((1, 2 * inv.g + B - 1))
@@ -189,8 +197,13 @@ def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
     collapses to ``1 + (2g+f+s-1) x + f (x^2+x^3)/(1-x^2)`` in the orientable
     case and its g+f+s-1 analogue otherwise.
     """
-    base = orbit_space_poincare(inv)
-    shape = fixed_set_shape(inv)
+    require_valid(inv, "equivariant_poincare")
+    return _equivariant_poincare(inv)
+
+
+def _equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
+    base = _orbit_space_poincare(inv)
+    shape = _fixed_set_shape(inv)
     if shape.circles == 0 and shape.intervals == 0:
         return base
     fiber_poly = Poly((shape.circles + shape.intervals, shape.circles))

@@ -2,17 +2,26 @@
 
 import dataclasses
 import re
+import sys
 
 import pytest
 
+import orbitinv.invariants
 from orbitinv import (
     CappingError,
     EdgeLabel,
     EnumerationBounds,
+    EquivariantCohomology,
+    InvariantError,
     OrbitInvariants,
+    betti,
     cap_off,
     enumerate_invariants,
+    equivariant_poincare,
+    fixed_set_shape,
+    is_formal,
     orbit_euler_characteristic,
+    orbit_space_poincare,
     verify_capping,
 )
 
@@ -79,6 +88,34 @@ class TestCapOff:
         assert rep.output.f == 1 and rep.output.s == 2
         assert rep.rp_pairings == ((0, (1, 3)), (0, (5, 7)))
         assert rep.chi_after == rep.chi_before - 2
+        word = "<F,RP,SE,RP,F,RP,SE,RP>"
+        assert rep.notes == (
+            f"cycle 0 {word}: sewed RP arcs at positions 1 and 3 into one F and one SE arc",
+            f"cycle 0 {word}: sewed RP arcs at positions 5 and 7 into one F and one SE arc",
+            f"cycle 0 {word} closed up into 1 fixed circle(s) and "
+            "2 special-exceptional circle(s)",
+            "orientability kept as on the input; sewing projective-plane bands admits "
+            "other realizations",
+            "obstruction b stays 0; no twisted refilling of a torus boundary needed",
+        )
+
+    def test_notes_with_tori_and_two_cycles(self):
+        rep = cap_off(datum(eps="n", g=1, f=1, t=2, pairs=[(5, 2)],
+                            graph=[["SE", "RP", "F", "SP", "F", "RP"], ["K", "SE"]]))
+        assert rep.output == datum(eps="n", g=1, f=2, s=2, pairs=[(5, 2)])
+        assert rep.rp_pairings == ((0, (3, 5)),)
+        assert (rep.chi_before, rep.chi_after) == (-4, -3)
+        assert rep.notes == (
+            "filled 2 torus boundary circle(s) with solid tori",
+            "cycle 0 <F,SP,F,RP,SE,RP>: sewed RP arcs at positions 3 and 5 into one F "
+            "and one SE arc",
+            "cycle 0 <F,SP,F,RP,SE,RP> closed up into 1 fixed circle(s) and "
+            "1 special-exceptional circle(s)",
+            "cycle 1 <SE,K> closed up into 1 special-exceptional circle(s)",
+            "orientability kept as on the input; sewing projective-plane bands admits "
+            "other realizations",
+            "obstruction b stays 0; no twisted refilling of a torus boundary needed",
+        )
 
 
 class TestVerifyCapping:
@@ -150,3 +187,44 @@ class TestCappingAcrossCensus:
             rep = cap_off(inv)
             assert rep.output.eps == inv.eps
             assert rep.output.g == inv.g
+
+
+class TestValidateOncePerEntryPoint:
+    """Each public operation decides admissibility once; only the
+    independent output check of a capping report validates again."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        real = orbitinv.invariants.validate
+        calls = []
+
+        def counting(inv):
+            calls.append(inv)
+            return real(inv)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "orbitinv" and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", counting)
+        return calls
+
+    @pytest.mark.parametrize("operation, inv, expected", [
+        (cap_off, datum(t=1, graph=[["F", "RP", "SE", "RP"], ["F", "SP"]]), 2),
+        (equivariant_poincare, datum(f=1, graph=[["F", "SP"]]), 1),
+        (lambda inv: betti(inv, 3), datum(g=1, f=2), 1),
+        (is_formal, datum(g=1, f=2), 1),
+    ])
+    def test_call_counts(self, validations, operation, inv, expected):
+        operation(inv)
+        assert len(validations) == expected
+
+    @pytest.mark.parametrize("operation", [
+        orbit_euler_characteristic, fixed_set_shape, orbit_space_poincare,
+        equivariant_poincare, EquivariantCohomology, cap_off, is_formal,
+    ])
+    def test_inadmissible_rejected(self, validations, operation):
+        with pytest.raises(InvariantError):
+            operation(datum(b=1, f=1, graph=[["F", "SE"]]))
+
+    def test_verify_capping_rejects_inadmissible_input(self):
+        rep = cap_off(datum(t=1))
+        assert not verify_capping(dataclasses.replace(rep, input=datum(b=1, t=1)))

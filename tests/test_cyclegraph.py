@@ -36,6 +36,44 @@ def all_cycles_upto(max_len):
             yield word
 
 
+# The cycle rule as an adjacency table, kept apart from the library's forcing
+# rule as an independent reference.
+ADJACENT = {F: {SP, RP}, SE: {K, RP}, SP: {F}, K: {SE}}
+
+
+def reference_ok(word):
+    """Even length >= 2, an even number of RP arcs, F and SE arcs only next to
+    their boundary arcs, SP/K between two F/SE arcs, RP between F and SE."""
+    n = len(word)
+    if n < 2 or n % 2 or word.count(RP) % 2:
+        return False
+    for i, lab in enumerate(word):
+        left, right = word[i - 1], word[(i + 1) % n]
+        if lab is RP:
+            if {left, right} != {F, SE}:
+                return False
+        elif left not in ADJACENT[lab] or right not in ADJACENT[lab]:
+            return False
+    return True
+
+
+def forced_cycle(interior):
+    """The valid cycle on a nonempty binary F/SE word, built from the table."""
+    boundary = {(F, F): SP, (SE, SE): K, (F, SE): RP, (SE, F): RP}
+    word = []
+    for i, lab in enumerate(interior):
+        word += (lab, boundary[lab, interior[(i + 1) % len(interior)]])
+    return tuple(word)
+
+
+def assert_located(word, report):
+    assert report.violations
+    for v in report.violations:
+        assert v.cycle == 0
+        if len(word) >= 2:
+            assert v.position is not None and 0 <= v.position < len(word)
+
+
 # Valid words up to length 6 are cheap to enumerate and plenty for property
 # tests; the full length-8 scan lives in the session fixture.
 VALID_CYCLES = [w for w in all_cycles_upto(6) if validate_graph(CycleGraph((w,))).ok]
@@ -72,6 +110,31 @@ class TestValidateGraph:
 
     def test_too_short_cycle(self):
         assert not validate_graph(CycleGraph.from_labels([["F"]])).ok
+
+    def test_matches_reference_on_every_word_up_to_7(self):
+        accepted = 0
+        for length in range(1, 8):
+            for word in itertools.product(ALL_LABELS, repeat=length):
+                report = validate_graph(CycleGraph((word,)))
+                assert report.ok == reference_ok(word), word
+                if report.ok:
+                    accepted += 1
+                else:
+                    assert_located(word, report)
+        # 2^k binary interior words per length 2k, each starting at either kind
+        assert accepted == sum(2 * 2 ** k for k in (1, 2, 3))
+
+    @given(st.lists(st.sampled_from([F, SE]), min_size=1, max_size=32),
+           st.lists(st.tuples(st.integers(0, 63), st.sampled_from(ALL_LABELS)), max_size=2))
+    def test_matches_reference_on_mutated_forced_cycles(self, interior, mutations):
+        word = list(forced_cycle(interior))
+        for pos, lab in mutations:
+            word[pos % len(word)] = lab
+        word = tuple(word)
+        report = validate_graph(CycleGraph((word,)))
+        assert report.ok == reference_ok(word)
+        if not report.ok:
+            assert_located(word, report)
 
 
 class TestCanonicalWord:

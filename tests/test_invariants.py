@@ -13,6 +13,7 @@ from orbitinv import (
     SeifertPair,
     Surface2d,
     canonical_form,
+    cap_off,
     classify_2d,
     derived_counts,
     enumerate_invariants,
@@ -77,6 +78,15 @@ class TestValidate:
     def test_non_integer_pair_entries_reported_not_raised(self, pair):
         report = validate(datum(g=1, pairs=(pair,)))
         assert [v.condition for v in report.violations] == ["domain"]
+
+    @pytest.mark.parametrize("eps", [5, None, True])
+    def test_eps_outside_orientability_reported(self, eps):
+        for inv in (datum(eps=eps), datum(b=3, eps=eps, pairs=[(5, 4)])):
+            report = validate(inv)
+            assert [v.condition for v in report.violations] == ["domain"]
+            assert "eps" in report.violations[0].message
+        with pytest.raises(InvariantError, match="domain"):
+            cap_off(datum(eps=eps, t=1))
 
     @pytest.mark.parametrize("field", ["b", "g", "f", "s", "t"])
     @pytest.mark.parametrize("value", [True, False, "1", 1.0])
