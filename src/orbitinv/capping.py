@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclegraph import Cycle, EdgeLabel, canonicalize_cycle, render_cycle
+from .cyclegraph import Cycle, EdgeLabel, graph_canonical, render_cycle
 from .invariants import (
     NONORIENTABLE,
     ORIENTABLE,
@@ -161,7 +161,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
     if inv.t:
         notes.append(f"filled {inv.t} torus boundary circle(s) with solid tori")
 
-    words = sorted(canonicalize_cycle(c) for c in inv.graph.cycles)
+    words = graph_canonical(inv.graph)
     new_f = new_se = 0
     rp_total = 0
     pairings: list[tuple[int, tuple[int, int]]] = []

@@ -185,22 +185,53 @@ def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
     return tuple(sorted(found))
 
 
-def _rotations(word: Cycle):
-    for i in range(len(word)):
-        yield word[i:] + word[:i]
+def _least_rotation(word: bytes) -> int:
+    """Start of the lexicographically least rotation of ``word``.
+
+    Two-pointer scan: ``i < j`` are the two best candidate starts and ``k``
+    the length of their common prefix.  At the first mismatch the larger
+    candidate, together with the next ``k`` starts after it, cannot begin a
+    least rotation, so it jumps past them; the scan ends when ``j`` runs off
+    the word or the prefix covers it.  Each step advances ``i + j + k``,
+    which stays below ``3n``: O(n) comparisons.
+    """
+    n = len(word)
+    doubled = word + word
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return i
 
 
 def canonicalize_cycle(cycle: Sequence[LabelLike]) -> Cycle:
     """Smallest word over all rotations of the cycle and of its reversal.
 
     The comparison uses the label order F < SE < SP < K < RP, so canonical
-    words of valid cycles always start with an interior arc.
+    words of valid cycles always start with an interior arc.  The two-pointer
+    minimum-rotation scan (``_least_rotation``), run once on the word and
+    once on its reversal, finds the two candidates in O(n) time, so the
+    whole call is linear in the cycle length; the 2n rotations are never
+    built.
     """
     word = as_cycle(cycle)
-    if len(word) < 2:
-        return word
     reverse = word[::-1]
-    return min(min(_rotations(word)), min(_rotations(reverse)))
+    forward, backward = bytes(word), bytes(reverse)
+    i, j = _least_rotation(forward), _least_rotation(backward)
+    if forward[i:] + forward[:i] <= backward[j:] + backward[:j]:
+        return word[i:] + word[:i]
+    return reverse[j:] + reverse[:j]
 
 
 def graph_canonical(graph: CycleGraph) -> tuple[Cycle, ...]:

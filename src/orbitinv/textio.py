@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any
 
 from .capping import CappingReport
-from .cyclegraph import CycleGraph, EdgeLabel, render_cycle
+from .cyclegraph import CycleGraph, EdgeLabel, graph_canonical, render_cycle
 from .formality import FormalityResult
 from .invariants import (
     CanonicalForm,
@@ -353,8 +353,6 @@ def serialize(inv: OrbitInvariants) -> str:
     """Canonical rendering: pairs sorted, cycles as canonical words, no
     whitespace.  ``parse(serialize(x))`` equals ``x`` with its parts sorted;
     no normalization of b or of the pairs is applied."""
-    from .cyclegraph import graph_canonical
-
     out = [f"{{b={inv.b};({inv.eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
     if inv.pairs:
         out.append(";" + ",".join(str(p) for p in sorted(inv.pairs)))

@@ -1,6 +1,8 @@
 """Cycle validation, canonical words, and graph isomorphism."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,9 +158,52 @@ class TestCanonicalWord:
             moved = moved[::-1]
         assert canonicalize_cycle(moved) == canonicalize_cycle(word)
 
-    @given(st.lists(st.sampled_from(ALL_LABELS), min_size=2, max_size=9))
+    @given(st.lists(st.sampled_from(ALL_LABELS), min_size=2, max_size=256))
     def test_matches_brute_force_on_arbitrary_words(self, labels):
         assert canonicalize_cycle(labels) == brute_canonical(labels)
+
+    @given(st.lists(st.sampled_from(ALL_LABELS), min_size=1, max_size=8),
+           st.integers(1, 8), st.booleans(), st.integers(0, 127))
+    def test_matches_brute_force_on_periodic_and_palindromic_words(
+            self, block, repeats, mirrored, shift):
+        # Many rotations tie here, which is where least-rotation index
+        # arithmetic goes wrong.
+        word = block * repeats
+        if mirrored:
+            word += word[::-1]
+        shift %= len(word)
+        word = word[shift:] + word[:shift]
+        assert canonicalize_cycle(word) == brute_canonical(word)
+
+    def test_matches_brute_force_on_every_word_up_to_6(self):
+        count = 0
+        for length in range(1, 7):
+            for word in itertools.product(ALL_LABELS, repeat=length):
+                assert canonicalize_cycle(word) == brute_canonical(word), word
+                count += 1
+        assert count == 19530
+
+    @pytest.mark.parametrize("name", ["forced", "periodic"])
+    def test_linear_time_on_64000_edges(self, name):
+        # brute_canonical takes about a minute per call at this size.
+        if name == "forced":
+            rng = random.Random(64000)
+            word = forced_cycle([rng.choice((F, SE)) for _ in range(32000)])
+        else:
+            word = (F, RP, SE, RP) * 16000
+        assert len(word) == 64000
+        moved = (word[12345:] + word[:12345])[::-1]
+        results = []
+        for variant in (word, moved):
+            start = time.perf_counter()
+            results.append(canonicalize_cycle(variant))
+            assert time.perf_counter() - start < 2.0
+        assert results[0] == results[1]
+        if name == "periodic":
+            assert results[0] == word
+        else:
+            found = bytes(results[0])
+            assert found in bytes(word) * 2 or found in bytes(word[::-1]) * 2
 
 
 class TestGraphCanonical:
@@ -215,8 +260,6 @@ class TestIsomorphism:
         assert graphs_isomorphic(CycleGraph((word,)), CycleGraph((word[::-1],)))
 
     def test_agrees_with_brute_force_up_to_length_8(self, exhaustive_cycles_8):
-        import random
-
         rng = random.Random(88)
         for _ in range(400):
             cycles_a = [rng.choice(exhaustive_cycles_8) for _ in range(rng.randint(0, 3))]
