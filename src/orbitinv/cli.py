@@ -166,6 +166,13 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitinv",
@@ -192,11 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("cap", cmd_cap, "cap off every boundary component")
 
     p = add("betti", cmd_betti, "equivariant Betti numbers")
-    p.add_argument("--upto", type=int, default=10, help="print b_0..b_N (default 10)")
+    p.add_argument("--upto", type=nonnegative_int, default=10,
+                   help="print b_0..b_N (default 10)")
     p.add_argument("--degree", type=int, default=None, help="print a single Betti number")
 
     p = add("poincare", cmd_poincare, "equivariant Poincare series")
-    p.add_argument("--upto", type=int, default=10,
+    p.add_argument("--upto", type=nonnegative_int, default=10,
                    help="expansion truncation degree (default 10)")
 
     add("formal", cmd_formal, "equivariant formality and module generators")

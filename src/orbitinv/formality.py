@@ -53,7 +53,7 @@ class FormalityResult:
 
 
 def _formal_generators(inv: OrbitInvariants) -> tuple[ModuleGenerator, ...]:
-    ring = EquivariantCohomology(inv)
+    ring = EquivariantCohomology._unchecked(inv)  # is_formal has validated inv
     f = inv.f
     u = Poly((0, 1))
     gens: list[ModuleGenerator] = []

@@ -185,7 +185,3 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, divmod(a, b)[1]
     return a.monic()
-
-
-X = Poly((0, 1))
-ONE = Poly((1,))

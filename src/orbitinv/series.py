@@ -5,7 +5,19 @@ action splits, as a graded vector space, into the cohomology of the orbit
 surface plus one copy of ``x^2/(1-x^2)`` (respectively ``x^2(1+x)/(1-x^2)``)
 for every fixed interval (respectively fixed circle).  All the generating
 functions here are therefore rational with integer coefficients, and Betti
-numbers come out of exact power-series division, never truncation.
+numbers come out of exact integer power-series division, never truncation.
+
+With P the orbit-surface polynomial, c the fixed circles and i the fixed
+intervals, the reduced series of a datum has one of three shapes, read off
+the fixed set without any polynomial gcd:
+
+    c = i = 0:       P / 1
+    c > 0, i = 0:    (P(1-x) + c x^2) / (1-x)
+    i > 0:           (P(1-x^2) + (c+i) x^2 + c x^3) / (1-x^2)
+
+The numerator is nonzero at x = 1 (it is c, respectively 2c+i there) and,
+in the last shape, at x = -1 (where it is i), so each pair is coprime as
+written.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from math import gcd, lcm
 
 from .cyclegraph import EdgeLabel
 from .invariants import ORIENTABLE, OrbitInvariants, require_valid
-from .polyq import ONE, Poly, X, as_poly, exact_div, poly_gcd
+from .polyq import Poly, as_poly, exact_div, poly_gcd
 
 
 class PoincareSeries:
@@ -53,6 +65,13 @@ class PoincareSeries:
         self.num = tuple(c * sign // content for c in nums)
         self.den = tuple(c * sign // content for c in dens)
 
+    @classmethod
+    def _reduced(cls, num: tuple[int, ...], den: tuple[int, ...]) -> "PoincareSeries":
+        """Store an integer pair already in the canonical form, unchecked."""
+        series = cls.__new__(cls)
+        series.num, series.den = num, den
+        return series
+
     @property
     def numerator(self) -> Poly:
         return Poly(self.num)
@@ -62,25 +81,24 @@ class PoincareSeries:
         return Poly(self.den)
 
     def expansion(self, upto: int) -> list[int]:
-        """Coefficients b_0 .. b_upto by exact long division.
+        """Coefficients b_0 .. b_upto by exact integer long division.
 
         Raises ``ValueError`` if any coefficient in the requested range fails
         to be a nonnegative integer, which would mean the rational function
         is not a Poincare series at all.
         """
-        if upto < 0:
-            return []
         out: list[int] = []
-        d0 = self.den[0]
+        num, den = self.num, self.den
+        d0 = den[0]
         for k in range(upto + 1):
-            acc = Fraction(self.num[k] if k < len(self.num) else 0)
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
-            b = acc / d0
-            if b.denominator != 1 or b < 0:
-                raise ValueError(f"coefficient of x^{k} is {b}; "
+            acc = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            b, rem = divmod(acc, d0)
+            if rem or b < 0:
+                raise ValueError(f"coefficient of x^{k} is {Fraction(acc, d0)}; "
                                  "not a nonnegative-integer power series")
-            out.append(int(b))
+            out.append(b)
         return out
 
     def coefficient(self, k: int) -> int:
@@ -180,34 +198,51 @@ def orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
     return _orbit_space_poincare(inv)
 
 
-def _orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
+def _orbit_surface_poly(inv: OrbitInvariants) -> tuple[int, ...]:
+    rank = 2 * inv.g if inv.eps is ORIENTABLE else inv.g
     B = inv.boundary_circles
-    if inv.eps is ORIENTABLE:
-        poly = Poly((1, 2 * inv.g, 1)) if B == 0 else Poly((1, 2 * inv.g + B - 1))
-    else:
-        poly = Poly((1, inv.g)) if B == 0 else Poly((1, inv.g + B - 1))
-    return PoincareSeries(poly)
+    if B == 0 and inv.eps is ORIENTABLE:
+        return (1, rank, 1)
+    if B:
+        rank += B - 1
+    return (1, rank) if rank else (1,)
+
+
+def _orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
+    return PoincareSeries._reduced(_orbit_surface_poly(inv), (1,))
 
 
 def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
     """Poincare series of the rational equivariant cohomology.
 
-    The orbit-surface series plus ``x^2 * (circles * (1+x) + intervals)``
-    over ``1 - x^2``, reduced.  For closed data with fixed circles this
-    collapses to ``1 + (2g+f+s-1) x + f (x^2+x^3)/(1-x^2)`` in the orientable
-    case and its g+f+s-1 analogue otherwise.
+    The orbit-surface polynomial P plus ``x^2 * (c(1+x) + i)`` over
+    ``1 - x^2``, for c fixed circles and i fixed intervals, built directly
+    in one of three reduced shapes: P over 1 when c = i = 0; the numerator
+    of P(1-x) + c x^2 over 1 - x when only circles are fixed (the factor
+    1 + x cancels); the numerator of P(1-x^2) + (c+i) x^2 + c x^3 over
+    1 - x^2 when some interval is fixed.  For closed data with fixed
+    circles this is ``1 + (2g+f+s-1) x + f (x^2+x^3)/(1-x^2)`` in the
+    orientable case and its g+f+s-1 analogue otherwise.  Its ``expansion``
+    runs in integers only.
     """
     require_valid(inv, "equivariant_poincare")
     return _equivariant_poincare(inv)
 
 
 def _equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
-    base = _orbit_space_poincare(inv)
+    poly = _orbit_surface_poly(inv)
     shape = _fixed_set_shape(inv)
-    if shape.circles == 0 and shape.intervals == 0:
-        return base
-    fiber_poly = Poly((shape.circles + shape.intervals, shape.circles))
-    return base + PoincareSeries(X * X * fiber_poly, ONE - X * X)
+    c, i = shape.circles, shape.intervals
+    if not (c or i):
+        return PoincareSeries._reduced(poly, (1,))
+    p0, p1, p2 = poly + (0,) * (3 - len(poly))
+    if i:
+        num, den = [p0, p1, p2 - p0 + c + i, c - p1, -p2], (1, 0, -1)
+    else:
+        num, den = [p0, p1 - p0, p2 - p1 + c, -p2], (1, -1)
+    while not num[-1]:
+        num.pop()
+    return PoincareSeries._reduced(tuple(num), den)
 
 
 def betti(inv: OrbitInvariants, k: int) -> int:

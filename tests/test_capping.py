@@ -212,6 +212,7 @@ class TestValidateOncePerEntryPoint:
         (equivariant_poincare, datum(f=1, graph=[["F", "SP"]]), 1),
         (lambda inv: betti(inv, 3), datum(g=1, f=2), 1),
         (is_formal, datum(g=1, f=2), 1),
+        (is_formal, datum(f=2), 1),
     ])
     def test_call_counts(self, validations, operation, inv, expected):
         operation(inv)

@@ -91,6 +91,18 @@ class TestFailureModes:
             main(["betti"])  # missing datum
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["betti", "poincare"])
+    def test_negative_upto_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "{b=0;(o,g=0,f=1,s=0,t=0)}", "--upto", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--upto: must be nonnegative" in captured.err
+
+    def test_negative_degree_exits_one(self, capsys):
+        code, out, err = run(capsys, "betti", "{b=0;(o,g=0,f=1,s=0,t=0)}", "--degree", "-1")
+        assert code == 1 and out == "" and "nonnegative" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "validate", "@/no/such/file.inv")
         assert code == 1 and "error" in err

@@ -1,21 +1,29 @@
 """Poincare series reduction, expansion, and the closed-form formulas."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import orbitinv.series
 from orbitinv import (
     EnumerationBounds,
     OrbitInvariants,
     PoincareSeries,
     Poly,
     betti,
+    emit_json,
     enumerate_invariants,
     equivariant_poincare,
     fixed_set_shape,
+    is_formal,
     orbit_space_poincare,
+    valid_cycle_words,
+    validate,
 )
+from orbitinv.series import _equivariant_poincare, _orbit_space_poincare
 
 
 def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
@@ -64,6 +72,15 @@ class TestPoincareSeries:
     def test_negative_coefficient_detected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             PoincareSeries((1, 0, -1)).expansion(4)
+
+    def test_non_integer_coefficient_message(self):
+        with pytest.raises(ValueError) as err:
+            PoincareSeries((1,), (2, -1)).expansion(3)
+        assert str(err.value) == ("coefficient of x^0 is 1/2; "
+                                  "not a nonnegative-integer power series")
+
+    def test_negative_bound_expands_to_nothing(self):
+        assert PoincareSeries((1,), (1, -1)).expansion(-1) == []
 
     def test_equality_is_canonical(self):
         a = PoincareSeries((2, 0, 0, 2), (2, 0, -2))
@@ -170,3 +187,75 @@ class TestBetti:
             assert betti(inv, 3) == shape.circles
             assert betti(inv, 2) - betti(inv, 3) == shape.intervals == 0
         assert checked > 20
+
+
+def general_reduction(inv):
+    """The series by the general constructor: the orbit-surface series plus
+    x^2 times the fixed set's cohomology polynomial over 1 - x^2."""
+    fiber = fixed_set_shape(inv).cohomology_polynomial()
+    x2 = Poly((0, 0, 1))
+    return _orbit_space_poincare(inv) + PoincareSeries(x2 * fiber, 1 - x2)
+
+
+BOUNDARY_CASES = (
+    dict(),                                            # closed
+    dict(t=1),                                         # boundary, no F edge
+    dict(graph=[["SE", "K"]]),                         # boundary, no F edge
+    dict(graph=[["F", "SP"]]),                         # one fixed interval
+    dict(t=1, graph=[["F", "RP", "SE", "RP"], ["F", "SP", "F", "SP"]]),
+)
+
+
+class TestClosedForm:
+    """The three reduced shapes agree with the general reduction."""
+
+    def test_grid_matches_general_reduction(self):
+        shapes = set()
+        for eps, g, f, s, extra in itertools.product(
+                "on", range(4), range(4), range(3), BOUNDARY_CASES):
+            inv = datum(eps=eps, g=g, f=f, s=s, **extra)
+            if not validate(inv).ok:
+                continue
+            shape = fixed_set_shape(inv)
+            shapes.add((shape.circles > 0, shape.intervals > 0, inv.closed))
+            assert _equivariant_poincare(inv) == general_reduction(inv), inv
+        assert shapes == {(c, i, closed) for c in (False, True) for i in (False, True)
+                          for closed in (False, True) if not (i and closed)}
+
+    @given(st.sampled_from("on"), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+           st.integers(0, 2), st.lists(st.sampled_from(valid_cycle_words(8)), max_size=4))
+    def test_random_forced_graphs_match_general_reduction(self, eps, g, f, s, t, graph):
+        inv = datum(eps=eps, g=g + (eps == "n"), f=f, s=s, t=t, graph=graph)
+        assert validate(inv).ok
+        assert _equivariant_poincare(inv) == general_reduction(inv)
+
+    def test_no_polynomial_gcd_or_fraction_on_the_path(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("general reduction or Fraction used")
+
+        for name in ("poly_gcd", "exact_div", "Fraction"):
+            monkeypatch.setattr(orbitinv.series, name, forbidden)
+        for f, extra in itertools.product((0, 1), BOUNDARY_CASES):
+            inv = datum(f=f, **extra)
+            assert equivariant_poincare(inv).expansion(10)[7] == betti(inv, 7)
+
+
+class TestPinnedJson:
+    BOUNDS = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
+                               max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
+
+    def test_series_and_formality_json_pinned(self):
+        """The JSON of every series in the 8,910-datum census box, and of
+        formality for its closed data.  The digest was computed with every
+        series built by the general reduction, so it pins the closed form
+        to it byte for byte."""
+        digest = hashlib.sha256()
+        closed = 0
+        for inv in enumerate_invariants(self.BOUNDS):
+            digest.update((emit_json(equivariant_poincare(inv)) + "\n").encode())
+            if inv.closed:
+                closed += 1
+                digest.update((emit_json(is_formal(inv)) + "\n").encode())
+        assert closed == 382
+        assert digest.hexdigest() == (
+            "2c6a2a44a53d2cb356faf4fd43d89a1a7d24de94d3ba1cae96ed027c131dd61d")
