@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence, Union
 
@@ -105,6 +106,12 @@ class CycleGraph:
     def edge_count(self, label: LabelLike) -> int:
         lab = as_label(label)
         return sum(cycle.count(lab) for cycle in self.cycles)
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """The canonical words rendered as ``<...>,<...>``, computed once per
+        instance; not a field, so equality, hashing and repr ignore it."""
+        return ",".join(render_cycle(word) for word in graph_canonical(self))
 
 
 EMPTY_GRAPH = CycleGraph()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any
 
 from .capping import CappingReport
-from .cyclegraph import CycleGraph, EdgeLabel, graph_canonical, render_cycle
+from .cyclegraph import CycleGraph, EdgeLabel
 from .formality import FormalityResult
 from .invariants import (
     CanonicalForm,
@@ -92,9 +92,10 @@ def _lex(text: str, diags: list[Diagnostic]) -> list[_Token]:
             tokens.append(_Token("punct", ch, i, i + 1))
             i += 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: int() rejects digits such as '²'.
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i, j))
             i = j
@@ -352,13 +353,14 @@ def parse(text: str) -> OrbitInvariants:
 def serialize(inv: OrbitInvariants) -> str:
     """Canonical rendering: pairs sorted, cycles as canonical words, no
     whitespace.  ``parse(serialize(x))`` equals ``x`` with its parts sorted;
-    no normalization of b or of the pairs is applied."""
+    no normalization of b or of the pairs is applied.  The graph segment is
+    rendered once per ``CycleGraph`` instance (``canonical_text``) and reused,
+    which is sound because graphs are immutable."""
     out = [f"{{b={inv.b};({inv.eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
     if inv.pairs:
         out.append(";" + ",".join(str(p) for p in sorted(inv.pairs)))
     if inv.graph:
-        words = graph_canonical(inv.graph)
-        out.append(";G=[" + ",".join(render_cycle(w) for w in words) + "]")
+        out.append(";G=[" + inv.graph.canonical_text + "]")
     out.append("}")
     return "".join(out)
 

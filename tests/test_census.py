@@ -92,6 +92,18 @@ class TestCensusProperties:
         second = [serialize(x) for x in enumerate_invariants(self.BOUNDS)]
         assert first == second
 
+    def test_criterion_9_stream_pinned(self):
+        bounds = EnumerationBounds(max_g=2, max_f=2, max_s=2, max_t=2, max_r=2,
+                                   max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-1, 1))
+        digest = hashlib.sha256()
+        count = 0
+        for inv in enumerate_invariants(bounds):
+            digest.update((serialize(inv) + "\n").encode())
+            count += 1
+        assert count == 47199
+        assert digest.hexdigest() == (
+            "fa885ca04aaaaae5921f6eca6f79731a64134ab614346e087af26cde47336d11")
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             EnumerationBounds(max_g=-1)

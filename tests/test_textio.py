@@ -1,13 +1,18 @@
 """Notation parsing, canonical serialization, and JSON reports."""
 
+import copy
+import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbitinv.cyclegraph
 from orbitinv import (
     CycleGraph,
+    EdgeLabel,
     EnumerationBounds,
     OrbitInvariants,
     ParseError,
@@ -15,9 +20,11 @@ from orbitinv import (
     cap_off,
     emit_json,
     enumerate_invariants,
+    graph_canonical,
     is_formal,
     parse,
     parse_with_diagnostics,
+    render_cycle,
     serialize,
     validate,
 )
@@ -80,6 +87,18 @@ class TestParse:
         datum, diags = parse_with_diagnostics("{b=" + "9" * 30000 + ";(o,g=0,f=0,s=0,t=0)}")
         assert datum is None and diags
 
+    def test_non_ascii_decimal_digits_parse(self):
+        assert parse("{b=\u0663;(o,g=0,f=0,s=0,t=0)}").b == 3
+        assert parse("{b=-\u0663;(o,g=0,f=0,s=0,t=0)}").b == -3
+
+    @pytest.mark.parametrize("b", ["\u00b2", "-\u00b2", "3\u00b2"])
+    def test_superscript_digit_is_an_unexpected_character(self, b):
+        datum, diags = parse_with_diagnostics("{b=" + b + ";(o,g=0,f=0,s=0,t=0)}")
+        assert datum is None
+        messages = [d.message for d in diags]
+        assert "unexpected character '\u00b2'" in messages
+        assert not any("too large" in m for m in messages)
+
 
 class TestSerialize:
     def test_round_trip_rendering(self):
@@ -101,6 +120,66 @@ class TestSerialize:
     def test_serialize_does_not_normalize(self):
         inv = OrbitInvariants(b=3, eps="n", g=1, f=0, s=0, t=0, pairs=[(5, 4)])
         assert serialize(inv) == "{b=3;(n,g=1,f=0,s=0,t=0);(5,4)}"
+
+
+def with_graph(cycles):
+    return OrbitInvariants(b=0, eps="o", g=0, f=0, s=0, t=0, graph=cycles)
+
+
+def reference_serialize(graph):
+    """``serialize(with_graph(graph))``, the graph canonicalized and rendered
+    afresh."""
+    if not graph:
+        return "{b=0;(o,g=0,f=0,s=0,t=0)}"
+    words = graph_canonical(graph)
+    return "{b=0;(o,g=0,f=0,s=0,t=0);G=[" + ",".join(render_cycle(w) for w in words) + "]}"
+
+
+label_words = st.lists(st.lists(st.sampled_from(list(EdgeLabel)), max_size=12), max_size=4)
+
+
+class TestRenderedOnce:
+    """``serialize`` renders each ``CycleGraph`` instance once; the cached
+    text is invisible apart from its cost."""
+
+    def test_census_canonicalizes_once_per_graph(self, monkeypatch):
+        bounds = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
+                                   max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
+        census = list(enumerate_invariants(bounds))
+        graphs = {id(inv.graph): inv.graph for inv in census}
+        real = orbitinv.cyclegraph.canonicalize_cycle
+        calls = []
+
+        def counting(cycle):
+            calls.append(cycle)
+            return real(cycle)
+
+        monkeypatch.setattr(orbitinv.cyclegraph, "canonicalize_cycle", counting)
+        for inv in census:
+            serialize(inv)
+        assert len(census) == 8910
+        assert 0 < len(calls) <= sum(len(g) for g in graphs.values())
+
+    @given(label_words, label_words)
+    @settings(max_examples=200)
+    def test_cache_changes_no_output(self, cycles, other):
+        # arbitrary words: rotated, reflected and inadmissible ones alike,
+        # since serialize does not validate
+        inv, twin = with_graph(cycles), with_graph(cycles)
+        before = (repr(inv), hash(inv), hash(inv.graph))
+        text = serialize(inv)
+        assert text == reference_serialize(twin.graph)
+        assert serialize(inv) == text
+        assert (repr(inv), hash(inv), hash(inv.graph)) == before
+        assert inv == twin and repr(inv) == repr(twin) and hash(inv) == hash(twin)
+        for clone in (pickle.loads(pickle.dumps(inv)), copy.copy(inv), copy.deepcopy(inv)):
+            assert clone == inv and hash(clone) == hash(inv) and repr(clone) == repr(inv)
+            assert serialize(clone) == text
+        swapped = dataclasses.replace(inv, graph=CycleGraph.from_labels(other))
+        assert serialize(swapped) == reference_serialize(swapped.graph)
+        # a graph copied from a rendered one with new cycles renders afresh
+        regraphed = dataclasses.replace(inv.graph, cycles=tuple(map(tuple, other)))
+        assert serialize(with_graph(regraphed)) == reference_serialize(regraphed)
 
 
 class TestRoundTrip:
