@@ -10,6 +10,7 @@ errors.  ``--json`` switches the output to the stable JSON forms of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -146,16 +147,23 @@ def cmd_classify2d(args) -> int:
 
 
 def _parse_bounds(items: list[str]) -> EnumerationBounds:
+    keys = [field.name for field in dataclasses.fields(EnumerationBounds)]
     fields = {}
     for item in items:
         key, _, value = item.partition("=")
         if not value:
             raise ValueError(f"bound {item!r} is not of the form key=value")
-        if key == "b_range":
-            lo, _, hi = value.partition("..")
-            fields[key] = (int(lo), int(hi))
-        else:
-            fields[key] = int(value)
+        if key not in keys:
+            raise ValueError(f"unknown bound {key!r}; the bounds are {', '.join(keys)}")
+        try:
+            if key == "b_range":
+                lo, hi = value.split("..")  # ValueError unless exactly one '..'
+                fields[key] = (int(lo), int(hi))
+            else:
+                fields[key] = int(value)
+        except ValueError:
+            shape = "LO..HI" if key == "b_range" else "an integer"
+            raise ValueError(f"bound {key} takes {shape}, got {value!r}") from None
     return EnumerationBounds(**fields)
 
 

@@ -60,6 +60,10 @@ class EdgeLabel(IntEnum):
         return self.name
 
 
+# Label names indexed by label value, for rendering without a call to
+# ``EdgeLabel.__str__`` (an Enum descriptor lookup) per edge.
+LABEL_NAMES = tuple(lab.name for lab in sorted(EdgeLabel))
+
 LabelLike = Union[EdgeLabel, str]
 Cycle = tuple[EdgeLabel, ...]
 
@@ -273,4 +277,4 @@ def vertex_labels(cycle: Sequence[LabelLike]) -> tuple[EdgeLabel, ...]:
 
 
 def render_cycle(cycle: Sequence[LabelLike]) -> str:
-    return "<" + ",".join(str(lab) for lab in as_cycle(cycle)) + ">"
+    return "<" + ",".join(map(LABEL_NAMES.__getitem__, as_cycle(cycle))) + ">"

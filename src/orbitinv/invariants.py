@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Union
 
 from .cyclegraph import (
@@ -77,6 +78,10 @@ class SeifertPair:
 
 
 PairLike = Union[SeifertPair, tuple]
+
+# Sorting the (m, n) tuples orders pairs exactly as SeifertPair's generated
+# comparison does, without a Python-level ``__lt__`` call per comparison.
+pair_mn = attrgetter("m", "n")
 
 
 def _as_pair(value: PairLike) -> SeifertPair:
@@ -352,7 +357,7 @@ def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
         f=norm.f,
         s=norm.s,
         t=norm.t,
-        pairs=tuple(sorted(norm.pairs)),
+        pairs=tuple(sorted(norm.pairs, key=pair_mn)),
         graph_canon=graph_canonical(norm.graph),
     )
 

@@ -102,9 +102,28 @@ class PoincareSeries:
         return out
 
     def coefficient(self, k: int) -> int:
+        """b_k, raising ``ValueError`` as ``expansion(k)`` would.
+
+        Over the denominators ``equivariant_poincare`` builds, 1 and
+        ``1 - x^p``, b_k = b_{k-p} once k reaches ``len(num)`` (b_k = 0 over
+        1), so the expansion to one period past the numerator holds, and
+        checks, every value: the time does not grow with k.  Any other
+        denominator runs long division up to k.
+        """
         if k < 0:
             raise ValueError("degree must be nonnegative")
-        return self.expansion(k)[k]
+        num, den = self.num, self.den
+        if den == (1,):
+            period = 0
+        elif den[0] == 1 and den[-1] == -1 and not any(den[1:-1]):
+            period = len(den) - 1
+        else:
+            return self.expansion(k)[k]
+        top = len(num) + period - 1
+        out = self.expansion(min(k, top))
+        if k <= top:
+            return out[k]
+        return out[len(num) + (k - len(num)) % period] if period else 0
 
     def __add__(self, other) -> "PoincareSeries":
         other = _coerce_series(other)

@@ -10,6 +10,11 @@ segments default to t=0, no pairs, empty graph.  Parsing checks grammar and
 nonnegativity only; admissibility of the parsed datum is a separate concern
 (see ``invariants.validate``).
 
+The lexer is one compiled regex run with ``finditer``; tokens are plain
+``(kind, text, start, end)`` tuples, and the parser reads the token list by
+index.  Whitespace is what ``str.isspace`` accepts, integers are runs of
+``str.isdecimal`` digits, and names are runs of ``str.isalpha`` letters.
+
 Errors come back as diagnostics carrying byte spans into the input, and the
 parser recovers where it can so one run may report several problems.  JSON
 output for every report type goes through :func:`emit_json`; the field names
@@ -19,12 +24,14 @@ are part of the public contract.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Any
 
 from .capping import CappingReport
-from .cyclegraph import CycleGraph, EdgeLabel
+from .cyclegraph import LABEL_NAMES, CycleGraph, EdgeLabel
 from .formality import FormalityResult
 from .invariants import (
     CanonicalForm,
@@ -34,6 +41,7 @@ from .invariants import (
     SeifertPair,
     ValidationReport,
     Violation,
+    pair_mn,
 )
 from .series import FixedSetShape, PoincareSeries
 
@@ -64,52 +72,46 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-_PUNCT = set("{}()[]<>,;=")
-_LABEL_NAMES = {lab.name for lab in EdgeLabel}
+# After optional whitespace: punctuation, an integer, a name run, or any
+# other character.  ``\s`` and ``\d`` are ``str.isspace`` and
+# ``str.isdecimal`` on every code point (tests/test_lexer_classes.py); the
+# name class also admits numerals such as '²' and '½', so ``_lex`` splits a
+# run that fails ``str.isalpha``.
+_TOKEN = re.compile(r"\s*(?:([{}()\[\]<>,;=])|(-?\d+)|([^\W\d_]+)|(\S))")
+_KIND = (None, "punct", "int", "name", None)
+
+# A token is (kind, text, start, end), kind 'punct', 'int', 'name' or 'eof'.
+# Only 'eof' has empty text, and no other kind can have the text of a
+# punctuation mark or keyword, so most checks below read the text alone.
+_Tok = tuple[str, str, int, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'name', 'punct', 'eof'
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
+def _unexpected(diags: list[Diagnostic], ch: str, start: int) -> None:
+    diags.append(Diagnostic(SourceSpan(start, start + 1), f"unexpected character {ch!r}"))
 
 
-def _lex(text: str, diags: list[Diagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, i, i + 1))
-            i += 1
-            continue
-        # isdecimal, not isdigit: int() rejects digits such as '²'.
-        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i, j))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("name", text[i:j], i, j))
-            i = j
-            continue
-        diags.append(Diagnostic(SourceSpan(i, i + 1), f"unexpected character {ch!r}"))
-        i += 1
-    tokens.append(_Token("eof", "", n, n))
+def _lex(text: str, diags: list[Diagnostic]) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        tok = match[group]
+        start, end = match.span(group)
+        if group == 4:
+            _unexpected(diags, tok, start)
+        elif group == 3 and not tok.isalpha():
+            # split the run into letter runs and unexpected characters
+            for alpha, chars in groupby(tok, str.isalpha):
+                chars = "".join(chars)
+                if alpha:
+                    append(("name", chars, start, start + len(chars)))
+                else:
+                    for i, ch in enumerate(chars, start):
+                        _unexpected(diags, ch, i)
+                start += len(chars)
+        else:
+            append((_KIND[group], tok, start, end))
+    append(("eof", "", len(text), len(text)))
     return tokens
 
 
@@ -121,58 +123,41 @@ class _Parser:
 
     # ---- token helpers -------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``; 'eof' never is."""
+        if self.tokens[self.pos][1] == text:
             self.pos += 1
-        return tok
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
-
-    def accept_punct(self, ch: str) -> bool:
-        if self.at_punct(ch):
-            self.advance()
             return True
         return False
 
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
-        self.diags.append(Diagnostic(tok.span, message))
+    def error(self, message: str, tok: _Tok | None = None) -> None:
+        _, _, start, end = tok or self.tokens[self.pos]
+        self.diags.append(Diagnostic(SourceSpan(start, end), message))
 
-    def expect_punct(self, ch: str) -> bool:
-        if self.accept_punct(ch):
+    def expect(self, text: str) -> bool:
+        """Consume a punctuation mark or keyword, or report what came instead."""
+        if self.accept(text):
             return True
-        got = self.peek()
-        shown = got.text or "end of input"
-        self.error(f"expected {ch!r}, got {shown!r}")
-        return False
-
-    def expect_name(self, name: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == name:
-            self.advance()
-            return True
-        shown = tok.text or "end of input"
-        self.error(f"expected {name!r}, got {shown!r}")
+        self.error(f"expected {text!r}, got {self.peek()[1] or 'end of input'!r}")
         return False
 
     def expect_int(self) -> int | None:
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
+        if tok[0] == "int":
+            self.pos += 1
             try:
-                return int(tok.text)
+                return int(tok[1])
             except ValueError:
                 # interpreter guard against enormous literals
                 self.error("integer literal too large", tok)
                 return None
-        shown = tok.text or "end of input"
-        self.error(f"expected an integer, got {shown!r}")
+        self.error(f"expected an integer, got {tok[1] or 'end of input'!r}")
         return None
 
     def expect_nat(self) -> int | None:
@@ -185,55 +170,55 @@ class _Parser:
 
     def sync(self, stops: str) -> None:
         """Skip tokens until one of the stop punctuation marks or EOF."""
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "punct" and tok.text in stops):
-                return
-            self.advance()
+        tokens, pos = self.tokens, self.pos
+        # the empty 'eof' text is in every string
+        while tokens[pos][1] not in stops:
+            pos += 1
+        self.pos = pos
 
     # ---- grammar -------------------------------------------------------
 
     def parse_field(self, name: str) -> int | None:
-        ok = self.expect_name(name)
-        ok = self.expect_punct("=") and ok
+        ok = self.expect(name)
+        ok = self.expect("=") and ok
         return self.expect_nat() if ok else None
 
     def parse_header(self) -> tuple | None:
-        if not self.expect_punct("("):
+        if not self.expect("("):
             return None
-        tok = self.peek()
+        text = self.peek()[1]
         eps = None
-        if tok.kind == "name" and tok.text in ("o", "n"):
-            self.advance()
-            eps = Orientability.from_letter(tok.text)
+        if text in ("o", "n"):
+            self.pos += 1
+            eps = Orientability.from_letter(text)
         else:
-            self.error(f"expected orientability 'o' or 'n', got {tok.text or 'end of input'!r}")
-        self.expect_punct(",")
+            self.error(f"expected orientability 'o' or 'n', got {text or 'end of input'!r}")
+        self.expect(",")
         g = self.parse_field("g")
-        self.expect_punct(",")
+        self.expect(",")
         f = self.parse_field("f")
-        self.expect_punct(",")
+        self.expect(",")
         s = self.parse_field("s")
         t = 0
-        if self.accept_punct(","):
+        if self.accept(","):
             t = self.parse_field("t")
-        self.expect_punct(")")
+        self.expect(")")
         if None in (eps, g, f, s, t):
             return None
         return eps, g, f, s, t
 
     def parse_pair(self) -> SeifertPair | None:
-        if not self.expect_punct("("):
+        if not self.expect("("):
             return None
         m = self.expect_nat()
-        if not self.expect_punct(","):
+        if not self.expect(","):
             self.sync("),;}")
-            self.accept_punct(")")
+            self.accept(")")
             return None
         n = self.expect_nat()
-        if not self.expect_punct(")"):
+        if not self.expect(")"):
             self.sync("),;}")
-            self.accept_punct(")")
+            self.accept(")")
             return None
         if m is None or n is None:
             return None
@@ -245,81 +230,87 @@ class _Parser:
             pair = self.parse_pair()
             if pair is not None:
                 pairs.append(pair)
-            if not self.accept_punct(","):
+            if not self.accept(","):
                 return pairs
 
     def parse_cycle(self) -> tuple | None:
-        if not self.expect_punct("<"):
+        if not self.expect("<"):
             return None
+        tokens, labels = self.tokens, EdgeLabel.__members__
         edges = []
         broken = False
+        pos = self.pos
         while True:
-            tok = self.peek()
-            if tok.kind == "name" and tok.text in _LABEL_NAMES:
-                self.advance()
-                edges.append(EdgeLabel[tok.text])
+            label = labels.get(tokens[pos][1])
+            if label is not None:
+                edges.append(label)
+                pos += 1
             else:
+                self.pos = pos
                 self.error(f"expected an edge label (F, SE, SP, K, RP), "
-                           f"got {tok.text or 'end of input'!r}")
+                           f"got {tokens[pos][1] or 'end of input'!r}")
                 self.sync(">,;]}")
+                pos = self.pos
                 broken = True
-            if not self.accept_punct(","):
+            if tokens[pos][1] != ",":
                 break
-        if not self.expect_punct(">"):
+            pos += 1
+        self.pos = pos
+        if not self.expect(">"):
             self.sync(">,]};")
-            self.accept_punct(">")
+            self.accept(">")
             broken = True
         return None if broken else tuple(edges)
 
     def parse_graph(self) -> CycleGraph | None:
-        self.expect_name("G")
-        self.expect_punct("=")
-        if not self.expect_punct("["):
+        self.expect("G")
+        self.expect("=")
+        if not self.expect("["):
             return None
         cycles = []
         broken = False
-        if not self.at_punct("]"):
+        if not self.at("]"):
             while True:
                 cycle = self.parse_cycle()
                 if cycle is None:
                     broken = True
                 else:
                     cycles.append(cycle)
-                if not self.accept_punct(","):
+                if not self.accept(","):
                     break
-        if not self.expect_punct("]"):
+        if not self.expect("]"):
             broken = True
         return None if broken else CycleGraph(tuple(cycles))
 
     def parse_manifold(self) -> OrbitInvariants | None:
-        self.expect_punct("{")
-        self.expect_name("b")
-        self.expect_punct("=")
+        self.expect("{")
+        self.expect("b")
+        self.expect("=")
         b = self.expect_int()
-        self.expect_punct(";")
+        self.expect(";")
         header = self.parse_header()
 
         pairs: list[SeifertPair] = []
         graph: CycleGraph | None = CycleGraph()
         seen_pairs = seen_graph = False
-        while self.accept_punct(";"):
-            if self.at_punct("("):
+        while self.accept(";"):
+            if self.at("("):
                 if seen_pairs or seen_graph:
                     self.error("pair list appears twice or after the graph")
                 seen_pairs = True
                 pairs = self.parse_pairs()
-            elif self.peek().kind == "name" and self.peek().text == "G":
+            elif self.at("G"):
                 if seen_graph:
                     self.error("graph segment appears twice")
                 seen_graph = True
                 graph = self.parse_graph()
             else:
-                shown = self.peek().text or "end of input"
+                shown = self.peek()[1] or "end of input"
                 self.error(f"expected a pair list or 'G=[...]' after ';', got {shown!r}")
                 self.sync(";}")
-        self.expect_punct("}")
-        if self.peek().kind != "eof":
-            self.error(f"trailing input after '}}': {self.peek().text!r}")
+        self.expect("}")
+        if self.peek()[0] != "eof":
+            self.error(f"trailing input after '}}': {self.peek()[1]!r}")
 
         if self.diags or b is None or header is None or graph is None:
             return None
@@ -353,12 +344,14 @@ def parse(text: str) -> OrbitInvariants:
 def serialize(inv: OrbitInvariants) -> str:
     """Canonical rendering: pairs sorted, cycles as canonical words, no
     whitespace.  ``parse(serialize(x))`` equals ``x`` with its parts sorted;
-    no normalization of b or of the pairs is applied.  The graph segment is
-    rendered once per ``CycleGraph`` instance (``canonical_text``) and reused,
-    which is sound because graphs are immutable."""
+    no normalization of b or of the pairs is applied.  Pairs are ordered by
+    sorting their ``(m, n)`` tuples, the order ``SeifertPair`` defines.  The
+    graph segment is rendered once per ``CycleGraph`` instance
+    (``canonical_text``) and reused, which is sound because graphs are
+    immutable."""
     out = [f"{{b={inv.b};({inv.eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
     if inv.pairs:
-        out.append(";" + ",".join(str(p) for p in sorted(inv.pairs)))
+        out.append(";" + ",".join(["(%s,%s)" % mn for mn in sorted(map(pair_mn, inv.pairs))]))
     if inv.graph:
         out.append(";G=[" + inv.graph.canonical_text + "]")
     out.append("}")
@@ -395,8 +388,8 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
             "f": obj.f,
             "s": obj.s,
             "t": obj.t,
-            "pairs": [[p.m, p.n] for p in sorted(obj.pairs)],
-            "graph": [[str(lab) for lab in cycle] for cycle in obj.graph],
+            "pairs": list(map(list, sorted(map(pair_mn, obj.pairs)))),
+            "graph": [list(map(LABEL_NAMES.__getitem__, cycle)) for cycle in obj.graph],
         }
     if isinstance(obj, CanonicalForm):
         return {
@@ -407,7 +400,7 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
             "s": obj.s,
             "t": obj.t,
             "pairs": [[p.m, p.n] for p in obj.pairs],
-            "graph": [[str(lab) for lab in word] for word in obj.graph_canon],
+            "graph": [list(map(LABEL_NAMES.__getitem__, word)) for word in obj.graph_canon],
         }
     if isinstance(obj, CappingReport):
         return {

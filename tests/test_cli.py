@@ -27,6 +27,11 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "betti", "{b=0;(o,g=1,f=2,s=1,t=0)}", "--degree", "7")
         assert code == 0 and out.strip() == "2"
 
+    def test_betti_huge_degree(self, capsys):
+        code, out, _ = run(capsys, "betti", "{b=0;(o,g=1,f=2,s=1,t=0)}",
+                           "--degree", str(10**18))
+        assert code == 0 and out.strip() == "2"
+
     def test_poincare_renders_fraction_and_prefix(self, capsys):
         code, out, _ = run(capsys, "poincare", "{b=0;(o,g=0,f=1,s=0,t=0)}", "--upto", "4")
         assert code == 0
@@ -138,6 +143,17 @@ class TestEnumerate:
     def test_bad_bounds_exit_one(self, capsys):
         code, _, err = run(capsys, "enumerate", "--bounds", "max_g")
         assert code == 1 and "key=value" in err
+
+    def test_unknown_bound_named_with_the_accepted_keys(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--bounds", "max_q=3")
+        assert code == 1
+        assert err == ("error: unknown bound 'max_q'; the bounds are max_g, max_f, max_s, "
+                       "max_t, max_r, max_m, max_cycles, max_cycle_len, b_range\n")
+
+    @pytest.mark.parametrize("value", ["3", "1..x", "1..2..3"])
+    def test_b_range_takes_lo_dot_dot_hi(self, capsys, value):
+        code, _, err = run(capsys, "enumerate", "--bounds", "b_range=" + value)
+        assert code == 1 and err == f"error: bound b_range takes LO..HI, got {value!r}\n"
 
     def test_closed_pipe_exits_quietly(self):
         # `orbitinv enumerate ... | head -1` on a box whose 8,910 lines are

@@ -259,3 +259,45 @@ class TestPinnedJson:
         assert closed == 382
         assert digest.hexdigest() == (
             "2c6a2a44a53d2cb356faf4fd43d89a1a7d24de94d3ba1cae96ed027c131dd61d")
+
+
+class TestCoefficient:
+    """``coefficient(k)`` reads b_k off one period of the expansion when the
+    denominator is 1 or ``1 - x^p``, and runs long division otherwise."""
+
+    def test_equals_expansion_on_census_box(self):
+        data = list(enumerate_invariants(TestPinnedJson.BOUNDS))
+        assert len(data) == 8910
+        series = {equivariant_poincare(inv) for inv in data}
+        assert {s.den for s in series} == {(1,), (1, -1), (1, 0, -1)}
+        for s in series:
+            expansion = s.expansion(40)
+            assert [s.coefficient(k) for k in range(41)] == expansion, s
+
+    @pytest.mark.parametrize("extra", BOUNDARY_CASES)
+    @pytest.mark.parametrize("f", (0, 1, 2))
+    def test_huge_degree_is_the_periodic_value(self, f, extra):
+        inv = datum(g=1, f=f, **extra)
+        series = equivariant_poincare(inv)
+        tail = series.expansion(61)
+        for k in (10**18, 10**18 + 1):
+            assert series.coefficient(k) == betti(inv, k) == tail[60 + k % 2]
+
+    @pytest.mark.parametrize("num, den", [
+        ((1,), (1, -2)),          # 1/(1-2x): not periodic, long division
+        ((1, 1), (1, 0, 0, -1)),  # period 3
+        ((2, 0, 3), (1,)),        # a polynomial
+    ])
+    def test_other_denominators(self, num, den):
+        series = PoincareSeries._reduced(num, den)
+        expansion = series.expansion(30)
+        assert [series.coefficient(k) for k in range(31)] == expansion
+
+    def test_same_error_as_the_expansion(self):
+        series = PoincareSeries._reduced((1, 0, -2), (1, -1))
+        assert series.coefficient(1) == 1
+        for k in (2, 10**18):
+            with pytest.raises(ValueError) as err:
+                series.coefficient(k)
+            assert str(err.value) == ("coefficient of x^2 is -1; "
+                                      "not a nonnegative-integer power series")

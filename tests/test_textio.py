@@ -2,8 +2,13 @@
 
 import copy
 import dataclasses
+import hashlib
+import itertools
 import json
+import math
 import pickle
+import random
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -17,6 +22,8 @@ from orbitinv import (
     OrbitInvariants,
     ParseError,
     PoincareSeries,
+    SeifertPair,
+    canonical_form,
     cap_off,
     emit_json,
     enumerate_invariants,
@@ -28,6 +35,8 @@ from orbitinv import (
     serialize,
     validate,
 )
+from orbitinv.cyclegraph import LABEL_NAMES
+from textio_reference import reference_parse
 
 
 class TestParse:
@@ -239,3 +248,137 @@ class TestEmitJson:
     def test_formality_result(self):
         doc = json.loads(emit_json(is_formal(parse("{b=0;(o,g=0,f=3,s=0,t=0)}"))))
         assert doc["formal"] is True and len(doc["generators"]) == 6
+
+
+# Characters where the regex classes and the str predicates part ways: non-
+# decimal digits and numerals ('²', '½', 'Ⅷ'), a non-ASCII decimal digit, a
+# non-ASCII letter, non-ASCII whitespace, '_' (a word character) and '-'.
+TRICKY = "²½Ⅷ٣é\u00a0\u2028_-"
+lexer_alphabet = st.sampled_from(list(TRICKY + "{}();,=<>[]bognfstGFSEPKR0123456789 "))
+
+
+LINES = [
+    "{b=0;(o,g=0,f=2,s=0,t=1);(3,1);G=[<F,SP>]}",
+    "{b=-2;(n,g=1,f=1,s=1,t=0);(2,1),(4,1);G=[<F,RP,SE,RP>,<SE,K>]}",
+    "{b=12;(o,g=1,f=0,s=0);(5,2),(5,3)}",
+    " { b = 0 ; ( o , g = 0 , f = 0 , s = 0 , t = 0 ) ; G = [ < SE , K > ] } ",
+]
+
+
+@st.composite
+def lexer_texts(draw):
+    """Free text over the alphabet, or a datum line with a few characters
+    replaced or inserted from it."""
+    if draw(st.booleans()):
+        return draw(st.text(lexer_alphabet, max_size=40))
+    text = list(draw(st.sampled_from(LINES)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        text[at:at + draw(st.integers(0, 1))] = [draw(lexer_alphabet)]
+    return "".join(text)
+
+
+def fuzz_corpus():
+    """Criterion 9's 100,000 fuzz inputs (seed 9, same generator)."""
+    bounds = EnumerationBounds(max_g=2, max_f=2, max_s=2, max_t=2, max_r=2,
+                               max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-1, 1))
+    census = list(itertools.islice(enumerate_invariants(bounds), 10_000))
+    rng = random.Random(9)
+    alphabet = "{}();,=<>bognfst0123456789FSEPKR -"
+    for i in range(100_000):
+        if i % 3 == 0:
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        elif i % 3 == 1:
+            base = list(serialize(census[rng.randrange(len(census))]))
+            for _ in range(rng.randint(1, 4)):
+                base[rng.randrange(len(base))] = rng.choice(alphabet)
+            text = "".join(base)
+        else:
+            text = "".join(chr(rng.randint(0, 0x10FFFF // 16))
+                           for _ in range(rng.randint(0, 20)))
+        yield text
+
+
+FUZZ_DIGESTS = {
+    "13.0.0": "317072056772577056a569cf208d2f7749c781692113fd6ddc3234903f91ef85",  # Python 3.10
+    "14.0.0": "ebafb0b761af0ac77aa0a2402d103020e9c5516aa6ebd6cc2d051fbb6c5df12b",  # 3.11
+    "15.0.0": "e76bbbda666ccf13c55faed43d975097ad43defe39c77348c2d7ee0a0d6e2818",  # 3.12
+    "15.1.0": "62d4dd255986110efac6f0f4b2aad500b9aff25375db15985616639868d4b4d9",  # 3.13
+}
+
+
+class TestRegexLexer:
+    """The one-regex lexer accepts the language of the character-by-character
+    reference with the same spans and messages."""
+
+    @given(lexer_texts())
+    @settings(max_examples=400)
+    def test_matches_reference_parser(self, text):
+        assert parse_with_diagnostics(text) == reference_parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "{b=a²b;(o,g=0,f=0,s=0,t=0)}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F½SP>]}",
+        "{b=0;(oⅧ,g=0,f=0,s=0,t=0)}",
+        "{b=-٣;(o,g=0,f=0,s=0,t=0)}  ",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP,>]}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP],<SE,K>]}",
+        "{b=-;(o,g=0,f=0,s=0,t=0);(3_1)}",
+    ])
+    def test_matches_reference_parser_on_edge_cases(self, text):
+        assert parse_with_diagnostics(text) == reference_parse(text)
+
+    def test_fuzz_corpus_diagnostics_pinned(self):
+        """SHA-256 of the JSON diagnostics of every criterion-9 fuzz input,
+        computed with the reference parser.  The inputs draw arbitrary code
+        points, whose classes follow the interpreter's Unicode database, so
+        there is one digest per database; under another database each
+        result is compared with the reference parser instead."""
+        pinned = FUZZ_DIGESTS.get(unicodedata.unidata_version)
+        digest = hashlib.sha256()
+        parsed = 0
+        for text in fuzz_corpus():
+            datum, diags = result = parse_with_diagnostics(text)
+            if pinned is None:
+                assert result == reference_parse(text)
+            parsed += datum is not None
+            digest.update((emit_json(diags) + "\n").encode())
+        assert parsed == 664
+        assert pinned is None or digest.hexdigest() == pinned
+
+
+class TestPairOrder:
+    """Pairs are ordered by C-level (m, n) tuple comparisons."""
+
+    def test_seifert_pair_lt_never_called(self, monkeypatch):
+        calls = []
+
+        def counting(self, other):
+            calls.append((self, other))
+            return (self.m, self.n) < (other.m, other.n)
+
+        inv = parse("{b=0;(o,g=0,f=0,s=0,t=1);(5,2),(3,1),(5,1),(3,2);G=[<F,SP>]}")
+        report = cap_off(inv)
+        monkeypatch.setattr(SeifertPair, "__lt__", counting)
+        serialize(inv)
+        emit_json(inv)
+        emit_json(report)
+        emit_json(canonical_form(report.output))
+        assert calls == []
+        assert sorted(inv.pairs) and calls  # the patch itself is live
+
+    @given(st.lists(st.tuples(st.integers(2, 6), st.integers(1, 5)), max_size=8))
+    def test_order_equals_sorted_pairs(self, raw):
+        inv = OrbitInvariants(b=0, eps="o", g=1, f=0, s=0, t=0, pairs=raw)
+        ordered = sorted(inv.pairs)
+        rendered = ";" + ",".join(map(str, ordered)) if raw else ""
+        assert serialize(inv) == "{b=0;(o,g=1,f=0,s=0,t=0)" + rendered + "}"
+        assert json.loads(emit_json(inv))["pairs"] == [[p.m, p.n] for p in ordered]
+        coprime = [p for p in inv.pairs if math.gcd(p.m, p.n) == 1 and p.n < p.m]
+        valid = inv.replace(pairs=coprime)
+        assert list(canonical_form(valid).pairs) == sorted(valid.pairs)
+
+
+def test_label_names_are_the_enum_names():
+    assert LABEL_NAMES == tuple(str(EdgeLabel(v)) for v in range(len(EdgeLabel)))
+    assert str(EdgeLabel.F) == "F" and render_cycle(["SE", "K", "SE", "RP"]) == "<SE,K,SE,RP>"
