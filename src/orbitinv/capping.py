@@ -16,28 +16,28 @@ projective-plane boundaries.  On the orbit surface this becomes:
 
 Afterwards every former cycle has fallen apart into circles consisting
 purely of F arcs or purely of SE arcs; these become new fixed and
-special-exceptional circles of a closed datum with b = 0.  The genus of the
-resulting orbit surface is recovered from the Euler characteristic.
+special-exceptional circles of a closed datum with b = 0.
 
 The pairing of RP arcs is a genuine choice (different pairings can produce
 inequivalent closed manifolds); this module always pairs consecutive RP arcs
 in the canonical traversal of each cycle and records the choice in the
-report.
+report.  With that pairing the surgery has a closed form.  A canonical word
+with RP arcs starts at a maximal F run and ends on an RP arc, so it reads
+F run, RP, SE run, RP, F run, ...: each sewn pair encloses exactly one SE
+run, which closes into a special-exceptional circle, and all F runs join
+into one fixed circle.  A cycle with 2k > 0 RP arcs thus closes into 1 fixed
+and k special-exceptional circles, and a cycle without RP arcs into one
+circle of its own type.  The new circles number the cycles plus k, so the
+Euler characteristic changes by t - k exactly as for an orbit surface of
+the same genus and orientability: capping preserves g and eps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclegraph import Cycle, EdgeLabel, graph_canonical, render_cycle
-from .invariants import (
-    NONORIENTABLE,
-    ORIENTABLE,
-    EMPTY_GRAPH,
-    OrbitInvariants,
-    require_valid,
-    validate,
-)
+from .cyclegraph import Cycle, EdgeLabel, _render_word, graph_canonical
+from .invariants import ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, require_valid, validate
 
 
 class CappingError(ValueError):
@@ -83,94 +83,42 @@ def _chi(inv: OrbitInvariants) -> int:
 
 
 def _cap_cycle(word: Cycle) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """Surgery on one canonical cycle word.
+    """Surgery on one canonical cycle word, in closed form.
 
-    Returns (new fixed circles, new special-exceptional circles, RP pairs).
-    Vertex ``i`` sits between edges ``i-1`` and ``i``; edge ``i`` joins
-    vertices ``i`` and ``i+1`` (mod length).
+    Returns (new fixed circles, new special-exceptional circles, RP pairs),
+    the pairs as edge positions of consecutive RP arcs in ``word``.
     """
-    n = len(word)
-    rp_positions = [i for i, lab in enumerate(word) if lab is EdgeLabel.RP]
-    pairs = [(rp_positions[j], rp_positions[j + 1]) for j in range(0, len(rp_positions), 2)]
-
-    # Edges surviving the surgery, with SP/K relabelled.
-    edges: list[tuple[EdgeLabel, int, int]] = []
-    for i, lab in enumerate(word):
-        if lab is EdgeLabel.RP:
-            continue
-        if lab is EdgeLabel.SP:
-            lab = EdgeLabel.F
-        elif lab is EdgeLabel.K:
-            lab = EdgeLabel.SE
-        edges.append((lab, i, (i + 1) % n))
-
-    def fixed_end(pos: int) -> int:
-        # The end of the RP edge at ``pos`` lying on the fixed side: the
-        # neighbouring interior arc there is F.
-        return pos if word[(pos - 1) % n] is EdgeLabel.F else (pos + 1) % n
-
-    def special_end(pos: int) -> int:
-        return pos if word[(pos - 1) % n] is EdgeLabel.SE else (pos + 1) % n
-
-    for a, b in pairs:
-        edges.append((EdgeLabel.F, fixed_end(a), fixed_end(b)))
-        edges.append((EdgeLabel.SE, special_end(a), special_end(b)))
-
-    # Trace the circles: after the surgery every vertex joins exactly two
-    # edges, and both carry the same label.
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, u, v in edges:
-        parent[find(u)] = find(v)
-
-    component_labels: dict[int, set[EdgeLabel]] = {}
-    for lab, u, _ in edges:
-        component_labels.setdefault(find(u), set()).add(lab)
-
-    new_f = new_se = 0
-    for labels in component_labels.values():
-        if labels == {EdgeLabel.F}:
-            new_f += 1
-        elif labels == {EdgeLabel.SE}:
-            new_se += 1
-        else:
-            raise CappingError(f"surgery on {render_cycle(word)} produced a circle "
-                               f"mixing {sorted(str(l) for l in labels)}")
-    return new_f, new_se, tuple(pairs)
+    rp = [i for i, lab in enumerate(word) if lab is EdgeLabel.RP]
+    if rp:
+        return 1, len(rp) // 2, tuple(zip(rp[::2], rp[1::2]))
+    return (1, 0, ()) if word[0] is EdgeLabel.F else (0, 1, ())
 
 
 def cap_off(inv: OrbitInvariants) -> CappingReport:
     """Fill every boundary component of a with-boundary datum.
 
-    The result is a closed datum with b = 0 and the same exceptional pairs;
-    deterministic, including the recorded RP pairing.  Raises
+    The result is a closed datum with b = 0, the same genus, orientability
+    and exceptional pairs, and the new circles of the closed form in the
+    module docstring: each cycle with 2k > 0 RP arcs adds 1 fixed and k
+    special-exceptional circles, each other cycle one circle of its own
+    type.  Deterministic, including the recorded RP pairing.  Raises
     :class:`CappingError` on closed input.
     """
     require_valid(inv, "cap_off")
     if inv.closed:
         raise CappingError("datum is already closed: nothing to cap")
 
-    chi_before = _chi(inv)
     notes: list[str] = []
     if inv.t:
         notes.append(f"filled {inv.t} torus boundary circle(s) with solid tori")
 
-    words = graph_canonical(inv.graph)
     new_f = new_se = 0
-    rp_total = 0
     pairings: list[tuple[int, tuple[int, int]]] = []
-    for ci, word in enumerate(words):
+    for ci, word in enumerate(graph_canonical(inv.graph)):
         cf, cse, pairs = _cap_cycle(word)
         new_f += cf
         new_se += cse
-        rp_total += 2 * len(pairs)
-        shown = render_cycle(word)
+        shown = _render_word(word)
         for pair in pairs:
             pairings.append((ci, pair))
             notes.append(f"cycle {ci} {shown}: sewed RP arcs at "
@@ -182,63 +130,34 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
             made.append(f"{cse} special-exceptional circle(s)")
         notes.append(f"cycle {ci} {shown} closed up into " + " and ".join(made))
 
-    chi_after = chi_before + inv.t - rp_total // 2
-    f_out = inv.f + new_f
-    s_out = inv.s + new_se
-    boundary_out = f_out + s_out
-
-    eps_out = inv.eps
-    if inv.eps is ORIENTABLE:
-        twice_genus = 2 - boundary_out - chi_after
-        if twice_genus >= 0 and twice_genus % 2 == 0:
-            g_out = twice_genus // 2
-        else:
-            # No orientable surface fits the bookkeeping; realize the capped
-            # manifold over a nonorientable surface instead.
-            eps_out = NONORIENTABLE
-            g_out = 2 - boundary_out - chi_after
-            notes.append("orientable genus equation had no solution; "
-                         "result realized over a nonorientable orbit surface")
-    else:
-        g_out = 2 - boundary_out - chi_after
-    if g_out < 0 or (eps_out is NONORIENTABLE and g_out < 1):
-        raise CappingError(f"no admissible genus for chi={chi_after} with "
-                           f"{boundary_out} boundary circles")
-
     if pairings:
         notes.append("orientability kept as on the input; sewing projective-plane "
                      "bands admits other realizations")
     notes.append("obstruction b stays 0; no twisted refilling of a torus boundary needed")
 
-    output = inv.replace(b=0, eps=eps_out, g=g_out, f=f_out, s=s_out, t=0, graph=EMPTY_GRAPH)
-    report = CappingReport(
+    chi_before = _chi(inv)
+    return CappingReport(
         input=inv,
-        output=output,
+        output=inv.replace(b=0, f=inv.f + new_f, s=inv.s + new_se, t=0, graph=EMPTY_GRAPH),
         chi_before=chi_before,
-        chi_after=chi_after,
+        chi_after=chi_before + inv.t - len(pairings),
         rp_pairings=tuple(pairings),
         notes=tuple(notes),
     )
-    if not _verify_output(report):
-        raise CappingError("internal consistency failure: capping result does not verify")
-    return report
 
 
 def verify_capping(report: CappingReport) -> bool:
     """Recheck a report from scratch: the output must be an admissible closed
-    datum with b = 0 and the Euler characteristics must satisfy
+    datum with b = 0 and the input's exceptional pairs, one RP pairing must
+    be recorded per two RP arcs, and the Euler characteristics must satisfy
     chi_after = chi_before + t - r_p/2."""
-    return validate(report.input).ok and _verify_output(report)
-
-
-def _verify_output(report: CappingReport) -> bool:
-    """``verify_capping`` for a report whose input is known admissible."""
-    out = report.output
-    if not validate(out).ok:
+    inp, out = report.input, report.output
+    if not (validate(inp).ok and validate(out).ok):
         return False
-    if out.t != 0 or out.graph or out.b != 0:
+    if out.t != 0 or out.graph or out.b != 0 or out.pairs != inp.pairs:
         return False
-    if report.chi_before != _chi(report.input) or report.chi_after != _chi(out):
+    if report.chi_before != _chi(inp) or report.chi_after != _chi(out):
         return False
-    r_p = report.input.graph.edge_count(EdgeLabel.RP)
-    return report.chi_after == report.chi_before + report.input.t - r_p // 2
+    r_p = inp.graph.edge_count(EdgeLabel.RP)
+    return (len(report.rp_pairings) == r_p // 2
+            and report.chi_after == report.chi_before + inp.t - r_p // 2)

@@ -115,7 +115,7 @@ class CycleGraph:
     def canonical_text(self) -> str:
         """The canonical words rendered as ``<...>,<...>``, computed once per
         instance; not a field, so equality, hashing and repr ignore it."""
-        return ",".join(render_cycle(word) for word in graph_canonical(self))
+        return ",".join(map(_render_word, graph_canonical(self)))
 
 
 EMPTY_GRAPH = CycleGraph()
@@ -236,7 +236,11 @@ def canonicalize_cycle(cycle: Sequence[LabelLike]) -> Cycle:
     whole call is linear in the cycle length; the 2n rotations are never
     built.
     """
-    word = as_cycle(cycle)
+    return _canonical_word(as_cycle(cycle))
+
+
+def _canonical_word(word: Cycle) -> Cycle:
+    """``canonicalize_cycle`` of a word already made of ``EdgeLabel``s."""
     reverse = word[::-1]
     forward, backward = bytes(word), bytes(reverse)
     i, j = _least_rotation(forward), _least_rotation(backward)
@@ -247,7 +251,7 @@ def canonicalize_cycle(cycle: Sequence[LabelLike]) -> Cycle:
 
 def graph_canonical(graph: CycleGraph) -> tuple[Cycle, ...]:
     """Sorted multiset of canonical cycle words; the graph's fingerprint."""
-    return tuple(sorted(canonicalize_cycle(c) for c in graph.cycles))
+    return tuple(sorted(map(_canonical_word, graph.cycles)))
 
 
 def graphs_isomorphic(a: CycleGraph, b: CycleGraph) -> bool:
@@ -277,4 +281,9 @@ def vertex_labels(cycle: Sequence[LabelLike]) -> tuple[EdgeLabel, ...]:
 
 
 def render_cycle(cycle: Sequence[LabelLike]) -> str:
-    return "<" + ",".join(map(LABEL_NAMES.__getitem__, as_cycle(cycle))) + ">"
+    return _render_word(as_cycle(cycle))
+
+
+def _render_word(word: Cycle) -> str:
+    """``render_cycle`` of a word already made of ``EdgeLabel``s."""
+    return "<" + ",".join(map(LABEL_NAMES.__getitem__, word)) + ">"

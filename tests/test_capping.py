@@ -1,10 +1,12 @@
 """Capping-off: Euler bookkeeping, surgery on cycles, verification."""
 
 import dataclasses
+import hashlib
 import re
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import orbitinv.invariants
 from orbitinv import (
@@ -16,6 +18,8 @@ from orbitinv import (
     OrbitInvariants,
     betti,
     cap_off,
+    canonicalize_cycle,
+    emit_json,
     enumerate_invariants,
     equivariant_poincare,
     fixed_set_shape,
@@ -24,6 +28,10 @@ from orbitinv import (
     orbit_space_poincare,
     verify_capping,
 )
+from orbitinv.capping import _cap_cycle
+
+from capping_reference import reference_cap_cycle
+from test_cyclegraph import forced_cycle
 
 
 def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
@@ -133,6 +141,16 @@ class TestVerifyCapping:
         tampered = dataclasses.replace(rep, chi_after=rep.chi_after + 1)
         assert not verify_capping(tampered)
 
+    def test_rejects_changed_seifert_pairs(self):
+        rep = cap_off(datum(t=1))
+        tampered = dataclasses.replace(rep, output=rep.output.replace(pairs=[(5, 2)]))
+        assert not verify_capping(tampered)
+
+    def test_rejects_missing_rp_pairings(self):
+        rep = cap_off(datum(graph=[["F", "RP", "SE", "RP"]]))
+        assert verify_capping(rep)
+        assert not verify_capping(dataclasses.replace(rep, rp_pairings=()))
+
     def test_rejects_leftover_boundary(self):
         rep = cap_off(datum(t=1))
         tampered = dataclasses.replace(rep, output=rep.output.replace(t=1))
@@ -179,8 +197,8 @@ class TestCappingAcrossCensus:
             assert made == len(inv.graph)
 
     def test_genus_and_orientability_are_preserved(self):
-        # consecutive pairing always splits, so the orientable fallback is
-        # never needed inside these bounds
+        # the closed form adds the cycles plus r_p/2 new circles, which is
+        # what chi_after = chi_before + t - r_p/2 asks at the same g and eps
         for inv in CENSUS:
             if inv.closed:
                 continue
@@ -189,9 +207,32 @@ class TestCappingAcrossCensus:
             assert rep.output.g == inv.g
 
 
+class TestClosedForm:
+    @given(st.lists(st.sampled_from([EdgeLabel.F, EdgeLabel.SE]), min_size=1, max_size=32))
+    def test_matches_union_find_surgery(self, interior):
+        word = canonicalize_cycle(forced_cycle(interior))
+        assert _cap_cycle(word) == reference_cap_cycle(word)
+
+    def test_report_stream_pinned(self):
+        # emit_json(cap_off(.)) over the with-boundary data of test_census's
+        # 8,910 box, digest taken from the union-find surgery
+        bounds = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
+                                   max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
+        digest = hashlib.sha256()
+        count = 0
+        for inv in enumerate_invariants(bounds):
+            if inv.closed:
+                continue
+            digest.update((emit_json(cap_off(inv)) + "\n").encode())
+            count += 1
+        assert count == 8528
+        assert digest.hexdigest() == (
+            "88083355a06496e8c38e45f12af59cf0feb1c797d2ffb5989f759a38bc65e202")
+
+
 class TestValidateOncePerEntryPoint:
-    """Each public operation decides admissibility once; only the
-    independent output check of a capping report validates again."""
+    """Each public operation decides admissibility once; a capping result
+    is admissible by construction and is not validated again."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -208,7 +249,7 @@ class TestValidateOncePerEntryPoint:
         return calls
 
     @pytest.mark.parametrize("operation, inv, expected", [
-        (cap_off, datum(t=1, graph=[["F", "RP", "SE", "RP"], ["F", "SP"]]), 2),
+        (cap_off, datum(t=1, graph=[["F", "RP", "SE", "RP"], ["F", "SP"]]), 1),
         (equivariant_poincare, datum(f=1, graph=[["F", "SP"]]), 1),
         (lambda inv: betti(inv, 3), datum(g=1, f=2), 1),
         (is_formal, datum(g=1, f=2), 1),

@@ -156,14 +156,14 @@ class TestRenderedOnce:
                                    max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
         census = list(enumerate_invariants(bounds))
         graphs = {id(inv.graph): inv.graph for inv in census}
-        real = orbitinv.cyclegraph.canonicalize_cycle
+        real = orbitinv.cyclegraph._canonical_word
         calls = []
 
         def counting(cycle):
             calls.append(cycle)
             return real(cycle)
 
-        monkeypatch.setattr(orbitinv.cyclegraph, "canonicalize_cycle", counting)
+        monkeypatch.setattr(orbitinv.cyclegraph, "_canonical_word", counting)
         for inv in census:
             serialize(inv)
         assert len(census) == 8910
