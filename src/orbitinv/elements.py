@@ -25,19 +25,23 @@ The cup product is componentwise: degree >= 1 surface classes multiply to
 zero (the surface has boundary, so its H^2 vanishes), and on each fixed
 circle (p delta + q theta)(p' delta + q' theta) = pp' delta + (pq'+qp')
 theta.  The degree-2 polynomial generator acts through its image
-sum_i u delta_i.  Everything is exact over Q.
+sum_i u delta_i, so it kills the surface part and shifts each p_i and q_i
+by one power of u.  Everything is exact over Q.
+
+The relations are checked once, when an element is built from its parts
+(:meth:`EquivariantCohomology.from_parts`); sums, multiples, products and
+the module action of valid elements satisfy them by construction and are
+not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .invariants import ORIENTABLE, OrbitInvariants, require_valid
-from .polyq import Poly, as_poly
-
-Coeff = Union[int, Fraction]
+from .polyq import Poly, Scalar as Coeff, as_poly, exact
 
 
 class RelationError(ValueError):
@@ -48,15 +52,8 @@ class ContextError(ValueError):
     """Elements of cohomology rings of different data were combined."""
 
 
-def _as_fraction_tuple(values: Iterable[Coeff], length: int, name: str) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in values)
-    if len(out) != length:
-        raise ValueError(f"{name} must have length {length}, got {len(out)}")
-    return out
-
-
-def _as_poly_tuple(values: Sequence, length: int, name: str) -> tuple[Poly, ...]:
-    out = tuple(as_poly(v) for v in values)
+def _as_tuple(values: Iterable, convert: Callable, length: int, name: str) -> tuple:
+    out = tuple(map(convert, values))
     if len(out) != length:
         raise ValueError(f"{name} must have length {length}, got {len(out)}")
     return out
@@ -110,23 +107,36 @@ class EquivariantCohomology:
                    p: Sequence = None, q: Sequence = None) -> "CohomElement":
         """Build and check an element; omitted blocks default to zero.
 
-        Raises :class:`RelationError` naming the broken relation when the
-        parts are inconsistent.
+        The only place the kernel relations are checked: raises
+        :class:`RelationError` naming the broken relation when the parts are
+        inconsistent, and ``TypeError`` for a scalar that is not an exact
+        rational.
         """
-        zeros = lambda n: (Fraction(0),) * n
-        zpolys = lambda n: (Poly(),) * n
-        A = zeros(self.g) if A is None else _as_fraction_tuple(A, self.g, "A")
+        D = exact(D)
+        A = (0,) * self.g if A is None else _as_tuple(A, exact, self.g, "A")
         if B is None:
-            B = zeros(self.g) if self.orientable else ()
+            B = (0,) * self.g if self.orientable else ()
         elif not self.orientable:
             raise ValueError("B classes do not exist over a nonorientable orbit surface")
         else:
-            B = _as_fraction_tuple(B, self.g, "B")
-        C = zeros(self.f) if C is None else _as_fraction_tuple(C, self.f, "C")
-        C_se = zeros(self.s) if C_se is None else _as_fraction_tuple(C_se, self.s, "C_se")
-        p = zpolys(self.f) if p is None else _as_poly_tuple(p, self.f, "p")
-        q = zpolys(self.f) if q is None else _as_poly_tuple(q, self.f, "q")
-        return CohomElement(self, Fraction(D), A, B, C, C_se, p, q)
+            B = _as_tuple(B, exact, self.g, "B")
+        C = (0,) * self.f if C is None else _as_tuple(C, exact, self.f, "C")
+        C_se = (0,) * self.s if C_se is None else _as_tuple(C_se, exact, self.s, "C_se")
+        p = (Poly(),) * self.f if p is None else _as_tuple(p, as_poly, self.f, "p")
+        q = (Poly(),) * self.f if q is None else _as_tuple(q, as_poly, self.f, "q")
+        total = sum(A) + sum(B) + sum(C) + sum(C_se)
+        if total != 0:
+            raise RelationError(f"relation (1) fails: surface degree-1 coefficients "
+                                f"sum to {total}, not 0")
+        for i, poly in enumerate(p):
+            if poly.constant_term != D:
+                raise RelationError(f"relation (2) fails: p_{i + 1}(0) = "
+                                    f"{poly.constant_term} differs from D = {D}")
+        for i, poly in enumerate(q):
+            if poly.constant_term != C[i]:
+                raise RelationError(f"relation (3) fails: q_{i + 1}(0) = "
+                                    f"{poly.constant_term} differs from C_{i + 1} = {C[i]}")
+        return CohomElement(self, D, A, B, C, C_se, p, q)
 
     def zero(self) -> "CohomElement":
         return self.from_parts()
@@ -144,30 +154,21 @@ class EquivariantCohomology:
 
 @dataclass(frozen=True)
 class CohomElement:
-    """One equivariant cohomology class, possibly of mixed degree."""
+    """One equivariant cohomology class, possibly of mixed degree.
+
+    Construction only stores the parts: build elements through
+    :meth:`EquivariantCohomology.from_parts`, which checks relations
+    (1)-(3), and the operations below preserve them.
+    """
 
     ring: EquivariantCohomology
-    D: Fraction
-    A: tuple[Fraction, ...]
-    B: tuple[Fraction, ...]
-    C: tuple[Fraction, ...]
-    C_se: tuple[Fraction, ...]
+    D: Coeff
+    A: tuple[Coeff, ...]
+    B: tuple[Coeff, ...]
+    C: tuple[Coeff, ...]
+    C_se: tuple[Coeff, ...]
     p: tuple[Poly, ...]
     q: tuple[Poly, ...]
-
-    def __post_init__(self) -> None:
-        total = sum(self.A) + sum(self.B) + sum(self.C) + sum(self.C_se)
-        if total != 0:
-            raise RelationError(f"relation (1) fails: surface degree-1 coefficients "
-                                f"sum to {total}, not 0")
-        for i, poly in enumerate(self.p):
-            if poly.constant_term != self.D:
-                raise RelationError(f"relation (2) fails: p_{i + 1}(0) = "
-                                    f"{poly.constant_term} differs from D = {self.D}")
-        for i, poly in enumerate(self.q):
-            if poly.constant_term != self.C[i]:
-                raise RelationError(f"relation (3) fails: q_{i + 1}(0) = "
-                                    f"{poly.constant_term} differs from C_{i + 1} = {self.C[i]}")
 
     @property
     def is_zero(self) -> bool:
@@ -202,7 +203,7 @@ class CohomElement:
         return self + (-other)
 
     def scaled(self, c: Coeff) -> "CohomElement":
-        c = Fraction(c)
+        c = exact(c)
         return CohomElement(
             self.ring, c * self.D,
             tuple(c * a for a in self.A),
@@ -244,17 +245,20 @@ class CohomElement:
         """Readable form, e.g. ``theta_1 - theta_2`` or ``u*delta_1 + u*theta_2``."""
         parts: list[str] = []
 
-        def term(coeff: Fraction, symbol: str) -> None:
+        def term(coeff: Coeff, symbol: str) -> None:
             if coeff == 0:
                 return
             mag = abs(coeff)
-            body = symbol if mag == 1 else f"{mag}*{symbol}"
+            if not symbol:  # the constant class
+                body = str(mag)
+            else:
+                body = symbol if mag == 1 else f"{mag}*{symbol}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
 
-        term(self.D, "1")
+        term(self.D, "")
         for k, a in enumerate(self.A):
             term(a, f"alpha_{k + 1}")
         for k, b in enumerate(self.B):
@@ -308,14 +312,18 @@ def cup(a: CohomElement, b: CohomElement) -> CohomElement:
 
 def module_action(power: int, x: CohomElement) -> CohomElement:
     """Multiply by the degree-2 polynomial generator ``power`` times, i.e. cup
-    with (sum_i u delta_i)^power."""
+    with (sum_i u delta_i)^power: for power >= 1 the surface part vanishes
+    and every p_i, q_i is shifted up by u^power."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    result = x
-    u = x.ring.u_class()
-    for _ in range(power):
-        result = cup(u, result)
-    return result
+    if power == 0:
+        return x
+    shift = (0,) * power
+    return CohomElement(
+        x.ring, 0, (0,) * len(x.A), (0,) * len(x.B), (0,) * len(x.C), (0,) * len(x.C_se),
+        tuple(Poly(shift + pl.coeffs) for pl in x.p),
+        tuple(Poly(shift + pl.coeffs) for pl in x.q),
+    )
 
 
 def degree_decompose(x: CohomElement) -> dict[int, CohomElement]:

@@ -1,17 +1,29 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are ``fractions.Fraction`` throughout; nothing in this package
-ever touches floating point.  The class is deliberately small: just what the
-Poincare-series and cohomology modules need (ring operations, evaluation,
-exact division, gcd).
+Coefficients are ``int``, or ``fractions.Fraction`` once a non-integer
+appears, never ``float``: :func:`exact` refuses inexact scalars, and nothing
+in this package ever touches floating point.  The class is deliberately
+small: just what the Poincare-series and cohomology modules need (ring
+operations, evaluation, exact division, gcd).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
+
+
+def exact(c: Scalar) -> Scalar:
+    """An ``int`` stays an ``int``, any other rational becomes a ``Fraction``,
+    and anything inexact (``float``, ``Decimal``, ``str``) is a ``TypeError``."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"{c!r} is not an exact rational scalar (int or Fraction)")
+    return int(c) if isinstance(c, int) else Fraction(c)
 
 
 class Poly:
@@ -21,7 +33,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(map(exact, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -46,10 +58,10 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Scalar:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
@@ -58,7 +70,7 @@ class Poly:
         return acc
 
     @property
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Scalar:
         return self[0]
 
     def __eq__(self, other) -> bool:
@@ -101,7 +113,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -117,11 +129,11 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.coeffs[-1]
         for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k] / lead
+            c = Fraction(rem[k]) / lead
             if c:
                 quo[k - d] = c
                 for j, b in enumerate(other.coeffs):
@@ -132,7 +144,7 @@ class Poly:
         if self.is_zero:
             return self
         lead = self.coeffs[-1]
-        return Poly(c / lead for c in self.coeffs)
+        return Poly(Fraction(c) / lead for c in self.coeffs)
 
     def render(self, var: str = "x") -> str:
         """Human form like ``1 - x^2`` or ``2x``; the zero polynomial is ``0``."""

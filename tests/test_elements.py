@@ -1,6 +1,8 @@
 """Cup products, module action, degree decomposition, and the ring axioms."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -212,3 +214,131 @@ class TestRingAxioms:
                 for pb in degree_decompose(b).values():
                     total = total + cup(pa, pb)
             assert total == cup(a, b)
+
+
+def random_ring(rng):
+    g = rng.randint(0, 2)
+    eps = rng.choice("on") if g else "o"
+    return ring_for(f=rng.randint(1, 4), g=g, s=rng.randint(0, 2), eps=eps)
+
+
+def parts_of(x):
+    return dict(D=x.D, A=x.A, B=x.B if x.ring.orientable else None, C=x.C,
+                C_se=x.C_se, p=x.p, q=x.q)
+
+
+class TestOperationsPreserveRelations:
+    """Relations (1)-(3) are checked only by ``from_parts``; these tests keep
+    the identities that the operations preserve them."""
+
+    def test_module_action_is_repeated_cup_with_u(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            ring = random_ring(rng)
+            x = random_element(ring, rng)
+            expected = x
+            for k in range(4):
+                assert module_action(k, x) == expected
+                expected = cup(ring.u_class(), expected)
+
+    def test_results_rebuild_through_from_parts(self):
+        rng = random.Random(17)
+        for _ in range(80):
+            ring = random_ring(rng)
+            a, b = random_element(ring, rng), random_element(ring, rng)
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 3)))
+            results = [cup(a, b), a + b, a - b, a.scaled(c),
+                       module_action(rng.randint(1, 3), a), *degree_decompose(a).values()]
+            for x in results:
+                assert ring.from_parts(**parts_of(x)) == x
+
+
+class TestNoRecheckInOperations:
+    """Operations on valid elements neither build through ``from_parts`` nor
+    rebuild ``u_class()``."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(EquivariantCohomology, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return real(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("from_parts", "u_class"):
+            monkeypatch.setattr(EquivariantCohomology, name, counting(name))
+        return calls
+
+    @pytest.mark.parametrize("operation", [
+        cup,
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x.scaled(Fraction(-3, 2)),
+        lambda x, y: 3 * y,
+        lambda x, y: module_action(1, x),
+        lambda x, y: module_action(3, y),
+    ], ids=["cup", "add", "sub", "scaled", "rmul", "module_action_1", "module_action_3"])
+    def test_operations_build_nothing(self, builds, operation):
+        ring = ring_for(f=2, g=1, s=1)
+        x = cohom_from_parts(ring, D=2, A=(1,), B=(-1,), C=(1, -1), q=(Poly((1, 2)), -1),
+                             p=(Poly((2, 1)), 2))
+        y = cohom_from_parts(ring, C_se=(1,), C=(-1, 0), q=(-1, U))
+        builds.clear()
+        operation(x, y)
+        assert builds == []
+
+
+class TestExactScalars:
+    @pytest.mark.parametrize("bad", [0.1, Decimal("0.5"), "1/3"], ids=["float", "Decimal", "str"])
+    def test_inexact_scalars_refused(self, bad):
+        ring = ring_for(f=2)
+        named = re.escape(repr(bad))
+        with pytest.raises(TypeError, match=named):
+            Poly((1, bad))
+        with pytest.raises(TypeError, match=named):
+            ring.from_parts(D=bad, p=(Poly((1,)),) * 2)
+        with pytest.raises(TypeError, match=named):
+            ring.from_parts(C=(bad, 0), q=(1, 0))
+        with pytest.raises(TypeError, match=named):
+            ring.unit().scaled(bad)
+
+    def test_string_is_not_a_coefficient_sequence(self):
+        with pytest.raises(TypeError):
+            Poly("12")
+
+    def test_integers_stay_int(self):
+        coeffs = Poly((True, 2, Fraction(1, 2), Fraction(4, 2))).coeffs
+        assert coeffs == (1, 2, Fraction(1, 2), 2)
+        assert [type(c) for c in coeffs] == [int, int, Fraction, Fraction]
+        ring = ring_for(f=2)
+        theta = cohom_from_parts(ring, C=(1, -1), q=(1, -1))
+        x = cup(module_action(2, ring.unit()) + theta, theta.scaled(3))
+        scalars = [x.D, *x.C, *(c for pl in x.p + x.q for c in pl.coeffs)]
+        assert all(type(c) is int for c in scalars)
+
+    def test_division_stays_rational(self):
+        quo, rem = divmod(Poly((1, 0, 1)), Poly((0, 2)))
+        monic = Poly((1, 2)).monic()
+        assert quo == Poly((0, Fraction(1, 2))) and rem == Poly((1,))
+        assert monic == Poly((Fraction(1, 2), 1))
+        assert not any(isinstance(c, float) for c in quo.coeffs + rem.coeffs + monic.coeffs)
+
+
+class TestRender:
+    def test_constant_class(self):
+        one = ring_for(f=2).unit()
+        assert one.render() == "1"
+        assert one.scaled(2).render() == "2"
+        assert one.scaled(Fraction(-1, 2)).render() == "-1/2"
+
+    def test_mixed_elements(self):
+        ring = ring_for(f=2)
+        x = cohom_from_parts(ring, D=2, p=(Poly((2, 3)), 2), C=(1, -1), q=(1, -1))
+        assert x.render() == "2 + 3*u*delta_1 + theta_1 - theta_2"
+        half = Fraction(-1, 2)
+        y = cohom_from_parts(ring, D=half, p=(Poly((half, 0, 2)), half), q=(0, -U))
+        assert y.render() == "-1/2 + 2*u^2*delta_1 - u*theta_2"
