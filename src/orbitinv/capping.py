@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclegraph import Cycle, EdgeLabel, _render_word, graph_canonical
+from .cyclegraph import Cycle, EdgeLabel, _render_word
 from .invariants import ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, require_valid, validate
 
 
@@ -114,7 +114,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
 
     new_f = new_se = 0
     pairings: list[tuple[int, tuple[int, int]]] = []
-    for ci, word in enumerate(graph_canonical(inv.graph)):
+    for ci, word in enumerate(inv.graph.canonical_words):
         cf, cse, pairs = _cap_cycle(word)
         new_f += cf
         new_se += cse

@@ -112,10 +112,16 @@ class CycleGraph:
         return sum(cycle.count(lab) for cycle in self.cycles)
 
     @cached_property
+    def canonical_words(self) -> tuple[Cycle, ...]:
+        """``graph_canonical(self)``, computed once per instance; not a
+        field, so equality, hashing and repr ignore it."""
+        return graph_canonical(self)
+
+    @cached_property
     def canonical_text(self) -> str:
         """The canonical words rendered as ``<...>,<...>``, computed once per
-        instance; not a field, so equality, hashing and repr ignore it."""
-        return ",".join(map(_render_word, graph_canonical(self)))
+        instance like ``canonical_words``."""
+        return ",".join(map(_render_word, self.canonical_words))
 
 
 EMPTY_GRAPH = CycleGraph()

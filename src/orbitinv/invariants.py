@@ -41,7 +41,6 @@ from .cyclegraph import (
     Cycle,
     CycleGraph,
     EdgeLabel,
-    graph_canonical,
     validate_graph,
     vertex_labels,
 )
@@ -210,22 +209,25 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
             if inv.b != 0 and any(p.m == 2 for p in inv.pairs):
                 bad("1", "b must be 0 for nonorientable closed data when some m_i = 2")
 
+    def bad_pair(condition: str, message: str) -> None:
+        # the location is rendered only for a rejected pair
+        bad(condition, f"pair #{idx} {pair}: {message}")
+
     for idx, pair in enumerate(inv.pairs):
-        where = f"pair #{idx} {pair}"
         if not (_is_int(pair.m) and _is_int(pair.n)):
-            bad("domain", f"{where}: m and n must be integers, got {pair.m!r}, {pair.n!r}")
+            bad_pair("domain", f"m and n must be integers, got {pair.m!r}, {pair.n!r}")
             continue
         if pair.m < 2 or pair.n < 1:
-            bad("2", f"{where}: need m >= 2 and n >= 1")
+            bad_pair("2", "need m >= 2 and n >= 1")
             continue
         if math.gcd(pair.m, pair.n) != 1:
-            bad("2", f"{where}: gcd(m, n) = {math.gcd(pair.m, pair.n)} != 1")
+            bad_pair("2", f"gcd(m, n) = {math.gcd(pair.m, pair.n)} != 1")
         if inv.eps is ORIENTABLE:
             if not pair.n < pair.m:
-                bad("2", f"{where}: need 0 < n < m for orientable data")
+                bad_pair("2", "need 0 < n < m for orientable data")
         elif inv.eps is NONORIENTABLE:
             if not 2 * pair.n <= pair.m:
-                bad("2", f"{where}: need 0 < n <= m/2 for nonorientable data")
+                bad_pair("2", "need 0 < n <= m/2 for nonorientable data")
 
     for gv in validate_graph(inv.graph).violations:
         bad("3", str(gv))
@@ -358,7 +360,7 @@ def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
         s=norm.s,
         t=norm.t,
         pairs=tuple(sorted(norm.pairs, key=pair_mn)),
-        graph_canon=graph_canonical(norm.graph),
+        graph_canon=norm.graph.canonical_words,
     )
 
 

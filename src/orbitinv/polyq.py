@@ -9,9 +9,10 @@ operations, evaluation, exact division, gcd).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -179,10 +180,13 @@ def _coerce(value) -> Poly | None:
 
 
 def as_poly(value) -> Poly:
-    p = _coerce(value)
-    if p is None:
-        p = Poly(value)
-    return p
+    """A ``Poly`` as it is, an iterable as its coefficients, and anything else
+    as a constant, so that an inexact scalar is refused by :func:`exact`."""
+    if isinstance(value, Poly):
+        return value
+    if isinstance(value, Iterable) and not isinstance(value, str):
+        return Poly(value)
+    return Poly.const(value)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

@@ -10,10 +10,13 @@ segments default to t=0, no pairs, empty graph.  Parsing checks grammar and
 nonnegativity only; admissibility of the parsed datum is a separate concern
 (see ``invariants.validate``).
 
-The lexer is one compiled regex run with ``finditer``; tokens are plain
-``(kind, text, start, end)`` tuples, and the parser reads the token list by
-index.  Whitespace is what ``str.isspace`` accepts, integers are runs of
-``str.isdecimal`` digits, and names are runs of ``str.isalpha`` letters.
+Well-formed text is read with one anchored regex match of the whole grammar.
+Text that match declines goes to the token parser, which decides and
+explains: its lexer is one compiled regex run with ``finditer``, tokens are
+plain ``(kind, text, start, end)`` tuples, and the parser reads the token
+list by index.  Whitespace is what ``str.isspace`` accepts, integers are
+runs of ``str.isdecimal`` digits, and names are runs of ``str.isalpha``
+letters.
 
 Errors come back as diagnostics carrying byte spans into the input, and the
 parser recovers where it can so one run may report several problems.  JSON
@@ -319,12 +322,60 @@ class _Parser:
                                pairs=tuple(pairs), graph=graph)
 
 
+# The whole grammar as one anchored regex, for well-formed text.  It uses the
+# lexer's ``\s`` and ``\d`` classes, every keyword and label is followed by
+# ``\s*`` and punctuation (so it is a whole name token), and ``\s*`` stands
+# only directly before a mandatory token, so no two quantifiers share a
+# whitespace run and a failing match stays linear in the input.  NAT fields
+# take ``\d+`` only, so a text such as ``g=-0`` is left to ``_Parser``.
+_LABEL = re.compile("|".join(EdgeLabel.__members__))
+_PAIR = r"\(\s*\d+\s*,\s*\d+\s*\)"
+_CYCLE = rf"<\s*(?:{_LABEL.pattern})(?:\s*,\s*(?:{_LABEL.pattern}))*\s*>"
+_DATUM = re.compile(
+    r"\s*\{\s*b\s*=\s*(-?\d+)\s*;"
+    r"\s*\(\s*([on])\s*,\s*g\s*=\s*(\d+)\s*,\s*f\s*=\s*(\d+)\s*,\s*s\s*=\s*(\d+)"
+    r"(?:\s*,\s*t\s*=\s*(\d+))?\s*\)"
+    rf"(?:\s*;\s*({_PAIR}(?:\s*,\s*{_PAIR})*))?"
+    rf"(?:\s*;\s*G\s*=\s*\[((?:\s*{_CYCLE}(?:\s*,\s*{_CYCLE})*)?)\s*\])?"
+    r"\s*\}\s*")
+_NAT = re.compile(r"\d+")
+_CYCLE_BODY = re.compile(r"<([^>]*)>")
+
+
+def _match_datum(text: str) -> OrbitInvariants | None:
+    """The datum ``_Parser`` reads from ``text``, or None when ``text`` is not
+    one match of ``_DATUM`` or holds an integer literal too large for
+    ``int``; ``_Parser`` then decides, with its diagnostics."""
+    match = _DATUM.fullmatch(text)
+    if match is None:
+        return None
+    b, eps, g, f, s, t, pairs, graph = match.groups()
+    try:
+        b, g, f, s = int(b), int(g), int(f), int(s)
+        t = 0 if t is None else int(t)
+        nums = map(int, _NAT.findall(pairs or ""))
+        pairs = tuple(map(SeifertPair, nums, nums))
+    except ValueError:
+        return None
+    labels = EdgeLabel.__members__
+    cycles = tuple(tuple(map(labels.__getitem__, _LABEL.findall(body)))
+                   for body in _CYCLE_BODY.findall(graph or ""))
+    return OrbitInvariants(b=b, eps=Orientability.from_letter(eps), g=g, f=f, s=s, t=t,
+                           pairs=pairs, graph=CycleGraph(cycles))
+
+
 def parse_with_diagnostics(text: str) -> tuple[OrbitInvariants | None, tuple[Diagnostic, ...]]:
     """Parse, returning either a datum or the collected diagnostics.
 
+    Well-formed text is read by one anchored match (``_match_datum``); text
+    that the match declines is decided by the token parser, which also gives
+    the diagnostics.
     Never raises on malformed input; any byte string that decodes as text is
     acceptable and yields diagnostics at worst.
     """
+    datum = _match_datum(text)
+    if datum is not None:
+        return datum, ()
     parser = _Parser(text)
     datum = parser.parse_manifold()
     if parser.diags:

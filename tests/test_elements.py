@@ -304,6 +304,8 @@ class TestExactScalars:
         with pytest.raises(TypeError, match=named):
             ring.from_parts(C=(bad, 0), q=(1, 0))
         with pytest.raises(TypeError, match=named):
+            ring.from_parts(p=(bad, bad))
+        with pytest.raises(TypeError, match=named):
             ring.unit().scaled(bad)
 
     def test_string_is_not_a_coefficient_sequence(self):

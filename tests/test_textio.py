@@ -8,6 +8,7 @@ import json
 import math
 import pickle
 import random
+import time
 import unicodedata
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitinv.cyclegraph
+import orbitinv.textio
 from orbitinv import (
     CycleGraph,
     EdgeLabel,
@@ -36,7 +38,12 @@ from orbitinv import (
     validate,
 )
 from orbitinv.cyclegraph import LABEL_NAMES
+from orbitinv.textio import _match_datum, _Parser
 from textio_reference import reference_parse
+
+# The 8,910-datum census box.
+BOX = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
+                        max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
 
 
 class TestParse:
@@ -152,9 +159,7 @@ class TestRenderedOnce:
     text is invisible apart from its cost."""
 
     def test_census_canonicalizes_once_per_graph(self, monkeypatch):
-        bounds = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
-                                   max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
-        census = list(enumerate_invariants(bounds))
+        census = list(enumerate_invariants(BOX))
         graphs = {id(inv.graph): inv.graph for inv in census}
         real = orbitinv.cyclegraph._canonical_word
         calls = []
@@ -168,6 +173,28 @@ class TestRenderedOnce:
             serialize(inv)
         assert len(census) == 8910
         assert 0 < len(calls) <= sum(len(g) for g in graphs.values())
+
+    def test_chain_canonicalizes_each_cycle_once(self, monkeypatch):
+        inv = parse("{b=0;(n,g=1,f=0,s=1,t=1);(5,2),(3,1);"
+                    "G=[<SE,RP,F,RP>,<SP,F>,<SE,K,SE,K>]}")
+        real = orbitinv.cyclegraph._canonical_word
+        calls = []
+
+        def counting(cycle):
+            calls.append(cycle)
+            return real(cycle)
+
+        monkeypatch.setattr(orbitinv.cyclegraph, "_canonical_word", counting)
+        form = canonical_form(inv)
+        text = serialize(inv)
+        report = cap_off(inv)
+        emit_json(report)
+        emit_json(form)
+        assert sorted(calls) == sorted(inv.graph.cycles)
+        assert text == "{b=0;(n,g=1,f=0,s=1,t=1);(3,1),(5,2);G=[<F,SP>,<F,RP,SE,RP>,<SE,K,SE,K>]}"
+        # the public function stays uncached
+        assert graph_canonical(inv.graph) == form.graph_canon
+        assert len(calls) == 2 * len(inv.graph)
 
     @given(label_words, label_words)
     @settings(max_examples=200)
@@ -193,10 +220,8 @@ class TestRenderedOnce:
 
 class TestRoundTrip:
     def test_parse_serialize_identity_on_census(self):
-        bounds = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
-                                   max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
         count = 0
-        for inv in enumerate_invariants(bounds):
+        for inv in enumerate_invariants(BOX):
             count += 1
             assert parse(serialize(inv)) == inv
         assert count > 200
@@ -324,6 +349,23 @@ class TestRegexLexer:
         "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP,>]}",
         "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP],<SE,K>]}",
         "{b=-;(o,g=0,f=0,s=0,t=0);(3_1)}",
+        # texts the one anchored match declines, or must read as _Parser does
+        "{b=0;(o,g=-0,f=0,s=0,t=0)}",
+        "{b=-0;(o,g=0,f=0,s=0,t=0);G=[]}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[ ]}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<>]}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP>,]}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);(3,1),}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);(-3,1)}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);(3,-0)}",
+        "{b=0;(o,g=0,f=0,s=0,t=-2)}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP>];(3,1)}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);(3,1);(5,2)}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);G=[<SEP,F>]}",
+        "{b=0;(on,g=0,f=0,s=0,t=0)}",
+        "{b1=0;(o,g=0,f=0,s=0,t=0)}",
+        "{b=0;(o,g=0,f=0,s=0,t=0);(" + "3" * 5000 + ",1)}",
     ])
     def test_matches_reference_parser_on_edge_cases(self, text):
         assert parse_with_diagnostics(text) == reference_parse(text)
@@ -345,6 +387,134 @@ class TestRegexLexer:
             digest.update((emit_json(diags) + "\n").encode())
         assert parsed == 664
         assert pinned is None or digest.hexdigest() == pinned
+
+
+def token_parse(text):
+    """``parse_with_diagnostics`` by the token parser alone."""
+    parser = _Parser(text)
+    datum = parser.parse_manifold()
+    if parser.diags:
+        return None, tuple(parser.diags)
+    return datum, ()
+
+
+# Whitespace the lexer skips, NBSP and LINE SEPARATOR among it, and the
+# zeros of three non-ASCII decimal digit sets.
+SPACES = " \t\n\u00a0\u2028\u3000"
+ZEROS = "0\u0660\u0966\uff10"
+
+
+@st.composite
+def padded_texts(draw):
+    """A rendered datum, whitespace-padded, maybe with Unicode digits, ``-0``
+    in a NAT field, no ``t=``, an empty or absent graph segment or an empty
+    cycle, and maybe one character replaced, inserted or deleted.  Returns
+    the text and the datum it must parse to, or None for a text the one
+    match may decline."""
+    zero = draw(st.sampled_from(ZEROS))
+    # the one match takes ``-0`` for b but declines it in a NAT field
+    nat_minus_zero = []
+
+    def num(value, nat=True):
+        if value == 0 and draw(st.integers(0, 5)) == 0:
+            nat_minus_zero.append(nat)
+            return "-" + zero
+        return "".join(chr(ord(zero) + int(d)) if d.isdigit() else d for d in str(value))
+
+    b = draw(st.integers(-12, 12))
+    eps = draw(st.sampled_from("on"))
+    g, f, s, t = (draw(st.integers(0, 12)) for _ in range(4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4))
+    cycles = draw(st.none() | label_words)
+    omit_t = draw(st.booleans())
+    tokens = ["{", "b", "=", num(b, nat=False), ";", "(", eps]
+    for name, value in [("g", g), ("f", f), ("s", s)] + ([] if omit_t else [("t", t)]):
+        tokens += [",", name, "=", num(value)]
+    tokens.append(")")
+    if pairs:
+        tokens.append(";")
+        for i, (m, n) in enumerate(pairs):
+            tokens += [","] * (i > 0) + ["(", num(m), ",", num(n), ")"]
+    if cycles is not None:
+        tokens += [";", "G", "=", "["]
+        for i, cycle in enumerate(cycles):
+            tokens += [","] * (i > 0) + ["<"]
+            for j, lab in enumerate(cycle):
+                tokens += [","] * (j > 0) + [lab.name]
+            tokens.append(">")
+        tokens.append("]")
+    tokens.append("}")
+    pad = st.text(st.sampled_from(SPACES), max_size=2)
+    text = draw(pad) + "".join(tok + draw(pad) for tok in tokens)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        insert = draw(st.sampled_from(["", *TRICKY, *SPACES, *"{}();,=<>[]bGFSPK7"]))
+        text = text[:at] + insert + text[at + draw(st.integers(0, 1)):]
+        return text, None
+    if any(nat_minus_zero) or any(not cycle for cycle in cycles or ()):
+        return text, None
+    return text, OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s, t=0 if omit_t else t,
+                                 pairs=pairs, graph=cycles or ())
+
+
+def adversarial(shape, size):
+    """A text of about ``size`` characters that ``_match_datum`` rejects only
+    at its end."""
+    head = "{b=0;(o,g=0,f=0,s=0,t=0)"
+    if shape == "padded pairs":
+        return head + ";" + " , ".join([" ( 3 , 1 ) "] * (size // 14)) + " , }"
+    if shape == "padded cycles":
+        return head + "; G = [ " + " , ".join(["< F , SP , SE , K >"] * (size // 22)) + " , ]}"
+    if shape == "digit run":
+        return head + ";(" + "7" * size + ")}"
+    return head + " " * size + ";G=[" + " " * size + "}"
+
+
+class TestOneMatch:
+    """``parse_with_diagnostics`` reads well-formed text with one anchored
+    match and leaves everything else to the token parser: same data, same
+    diagnostics."""
+
+    @given(padded_texts())
+    @settings(max_examples=500)
+    def test_agrees_with_token_parser(self, case):
+        text, want = case
+        result = parse_with_diagnostics(text)
+        assert result == token_parse(text) == reference_parse(text)
+        fast = _match_datum(text)
+        assert fast is None or (fast, ()) == result
+        if want is not None:
+            assert fast == want
+
+    def test_census_box_never_builds_the_token_parser(self, monkeypatch):
+        census = list(enumerate_invariants(BOX))
+        built = []
+
+        class Counting(_Parser):
+            def __init__(self, text):
+                built.append(text)
+                super().__init__(text)
+
+        monkeypatch.setattr(orbitinv.textio, "_Parser", Counting)
+        for inv in census:
+            assert parse(serialize(inv)) == inv
+        assert len(census) == 8910 and built == []
+        parse_with_diagnostics("{b=0;(o,g=-0,f=0,s=0,t=0)}")
+        assert built  # the patch is live
+
+    @pytest.mark.parametrize("shape", ["padded pairs", "padded cycles", "digit run",
+                                       "whitespace run"])
+    def test_rejection_is_linear(self, shape):
+        # a backtracking blow-up would take minutes at 320,000 characters;
+        # linear matching takes milliseconds
+        for size in (40_000, 320_000):
+            text = adversarial(shape, size)
+            start = time.perf_counter()
+            assert _match_datum(text) is None
+            assert time.perf_counter() - start < 2.0
+        small = adversarial(shape, 400)
+        assert parse_with_diagnostics(small) == reference_parse(small)
+        assert parse_with_diagnostics(small)[1]
 
 
 class TestPairOrder:
