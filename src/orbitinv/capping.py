@@ -72,10 +72,6 @@ def orbit_euler_characteristic(inv: OrbitInvariants) -> int:
     has chi = 2 - 2g - B when orientable and chi = 2 - g - B when not.
     """
     require_valid(inv, "orbit_euler_characteristic")
-    return _chi(inv)
-
-
-def _chi(inv: OrbitInvariants) -> int:
     B = inv.boundary_circles
     if inv.eps is ORIENTABLE:
         return 2 - 2 * inv.g - B
@@ -135,7 +131,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
                      "bands admits other realizations")
     notes.append("obstruction b stays 0; no twisted refilling of a torus boundary needed")
 
-    chi_before = _chi(inv)
+    chi_before = orbit_euler_characteristic(inv)
     return CappingReport(
         input=inv,
         output=inv.replace(b=0, f=inv.f + new_f, s=inv.s + new_se, t=0, graph=EMPTY_GRAPH),
@@ -156,7 +152,8 @@ def verify_capping(report: CappingReport) -> bool:
         return False
     if out.t != 0 or out.graph or out.b != 0 or out.pairs != inp.pairs:
         return False
-    if report.chi_before != _chi(inp) or report.chi_after != _chi(out):
+    if (report.chi_before != orbit_euler_characteristic(inp)
+            or report.chi_after != orbit_euler_characteristic(out)):
         return False
     r_p = inp.graph.edge_count(EdgeLabel.RP)
     return (len(report.rp_pairings) == r_p // 2

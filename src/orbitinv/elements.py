@@ -74,17 +74,6 @@ class EquivariantCohomology:
         if inv.f == 0:
             raise ValueError("element algebra needs at least one fixed circle; "
                              "for f = 0 only series and Betti numbers are available")
-        self._bind(inv)
-
-    @classmethod
-    def _unchecked(cls, inv: OrbitInvariants) -> "EquivariantCohomology":
-        """The ring of a datum the caller already knows to be admissible,
-        closed and with f > 0; nothing is checked again."""
-        ring = cls.__new__(cls)
-        ring._bind(inv)
-        return ring
-
-    def _bind(self, inv: OrbitInvariants) -> None:
         self.inv = inv
         self.g = inv.g
         self.f = inv.f

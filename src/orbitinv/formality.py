@@ -29,7 +29,7 @@ from fractions import Fraction
 from .elements import CohomElement, EquivariantCohomology
 from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, require_valid
 from .polyq import Poly
-from .series import _equivariant_poincare
+from .series import equivariant_poincare
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class FormalityResult:
 
 
 def _formal_generators(inv: OrbitInvariants) -> tuple[ModuleGenerator, ...]:
-    ring = EquivariantCohomology._unchecked(inv)  # is_formal has validated inv
+    ring = EquivariantCohomology(inv)
     f = inv.f
     u = Poly((0, 1))
     gens: list[ModuleGenerator] = []
@@ -117,7 +117,7 @@ def is_formal(inv: OrbitInvariants) -> FormalityResult:
         }[(inv.eps is ORIENTABLE, inv.s)]
         return FormalityResult(True, branch, _formal_generators(inv))
 
-    _, b1, _, b3 = _equivariant_poincare(inv).expansion(3)
+    _, b1, _, b3 = equivariant_poincare(inv).expansion(3)
     return FormalityResult(
         formal=False,
         reason=f"odd Betti numbers decrease: dim H^1 = {b1} > dim H^3 = {b3}, "

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from operator import attrgetter
 from typing import Union
 
@@ -84,10 +85,16 @@ pair_mn = attrgetter("m", "n")
 
 
 def _as_pair(value: PairLike) -> SeifertPair:
+    """Integral entries other than ``bool`` (numpy integers too) become
+    ``int``; any other entry is kept, never truncated, for ``validate``."""
     if isinstance(value, SeifertPair):
         return value
-    m, n = value
-    return SeifertPair(int(m), int(n))
+    try:
+        m, n = (int(v) if isinstance(v, Integral) and not isinstance(v, bool) else v
+                for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"a pair is two entries (m, n), got {value!r}") from None
+    return SeifertPair(m, n)
 
 
 def _as_graph(value) -> CycleGraph:
@@ -98,8 +105,10 @@ def _as_graph(value) -> CycleGraph:
 
 @dataclass(frozen=True)
 class OrbitInvariants:
-    """The full classification datum.  Construction never validates; see
-    :func:`validate`."""
+    """The full classification datum.  Construction and :meth:`replace`
+    never validate: a new instance starts without a verdict, and
+    :func:`validate` records an ok one on the instance (see
+    :func:`require_valid`)."""
 
     b: int
     eps: Orientability
@@ -178,8 +187,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
+
+
 def validate(inv: OrbitInvariants) -> ValidationReport:
-    """Total admissibility check; violations are returned, never raised."""
+    """Total admissibility check; violations are returned, never raised.
+    Always runs in full, and records an ok verdict on ``inv``."""
     violations: list[Violation] = []
 
     def bad(condition: str, message: str) -> None:
@@ -235,10 +248,16 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
     if inv.eps is NONORIENTABLE and _is_int(inv.g) and inv.g < 1:
         bad("nonorientable-genus", f"a nonorientable surface has genus >= 1, got g={inv.g}")
 
+    if not violations:
+        inv.__dict__[_ADMISSIBLE] = True
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def require_valid(inv: OrbitInvariants, context: str = "") -> OrbitInvariants:
+    """The one gate of every operation: ``inv`` passes at once if an ok
+    verdict is recorded on it, else it is validated."""
+    if _ADMISSIBLE in inv.__dict__:
+        return inv
     report = validate(inv)
     if not report.ok:
         raise InvariantError(report, context)
@@ -255,22 +274,25 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
     when some m_i = 2.  Anything else (a pair with gcd > 1, a bad graph, and
     so on, including non-integer field values) is not normalizable and is
     returned unchanged so that ``validate`` still reports it.  Idempotent and
-    total.
+    total, and returns ``inv`` itself when no reduction changes a value, as
+    for every admissible datum.
     """
+    changed = False
     pairs = inv.pairs
     if inv.eps is NONORIENTABLE:
-        pairs = tuple(
-            SeifertPair(p.m, min(p.n, p.m - p.n))
-            if _is_int(p.m) and _is_int(p.n) and 0 < p.n < p.m else p
-            for p in pairs
-        )
+        reduced = []
+        for p in pairs:
+            if _is_int(p.m) and _is_int(p.n) and p.n < p.m < 2 * p.n:
+                p = SeifertPair(p.m, p.m - p.n)
+                changed = True
+            reduced.append(p)
+        pairs = tuple(reduced)
     b = inv.b
     if (inv.eps is NONORIENTABLE and all(_is_int(v) for v in (b, inv.f, inv.s, inv.t))
             and inv.f + inv.s + inv.t == 0 and not inv.graph):
-        b %= 2
-        if any(p.m == 2 for p in pairs):
-            b = 0
-    return inv.replace(b=b, pairs=pairs)
+        b = 0 if any(_is_int(p.m) and p.m == 2 for p in pairs) else b % 2
+        changed = changed or b != inv.b
+    return inv.replace(b=b, pairs=pairs) if changed else inv
 
 
 @dataclass(frozen=True)

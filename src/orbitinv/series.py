@@ -198,10 +198,6 @@ class FixedSetShape:
 
 def fixed_set_shape(inv: OrbitInvariants) -> FixedSetShape:
     require_valid(inv, "fixed_set_shape")
-    return _fixed_set_shape(inv)
-
-
-def _fixed_set_shape(inv: OrbitInvariants) -> FixedSetShape:
     return FixedSetShape(circles=inv.f, intervals=inv.graph.edge_count(EdgeLabel.F))
 
 
@@ -214,7 +210,7 @@ def orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
     circles.
     """
     require_valid(inv, "orbit_space_poincare")
-    return _orbit_space_poincare(inv)
+    return PoincareSeries._reduced(_orbit_surface_poly(inv), (1,))
 
 
 def _orbit_surface_poly(inv: OrbitInvariants) -> tuple[int, ...]:
@@ -225,10 +221,6 @@ def _orbit_surface_poly(inv: OrbitInvariants) -> tuple[int, ...]:
     if B:
         rank += B - 1
     return (1, rank) if rank else (1,)
-
-
-def _orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
-    return PoincareSeries._reduced(_orbit_surface_poly(inv), (1,))
 
 
 def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
@@ -245,12 +237,8 @@ def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
     runs in integers only.
     """
     require_valid(inv, "equivariant_poincare")
-    return _equivariant_poincare(inv)
-
-
-def _equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
     poly = _orbit_surface_poly(inv)
-    shape = _fixed_set_shape(inv)
+    shape = fixed_set_shape(inv)
     c, i = shape.circles, shape.intervals
     if not (c or i):
         return PoincareSeries._reduced(poly, (1,))

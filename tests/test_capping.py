@@ -1,7 +1,9 @@
 """Capping-off: Euler bookkeeping, surgery on cycles, verification."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import re
 import sys
 
@@ -17,15 +19,19 @@ from orbitinv import (
     InvariantError,
     OrbitInvariants,
     betti,
+    canonical_form,
     cap_off,
     canonicalize_cycle,
     emit_json,
     enumerate_invariants,
     equivariant_poincare,
+    euler_number,
     fixed_set_shape,
     is_formal,
+    normalize,
     orbit_euler_characteristic,
     orbit_space_poincare,
+    serialize,
     verify_capping,
 )
 from orbitinv.capping import _cap_cycle
@@ -41,6 +47,9 @@ def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
 WITH_BOUNDARY_BOUNDS = EnumerationBounds(max_g=2, max_f=1, max_s=1, max_t=2,
                                          max_r=1, max_m=3, max_cycles=2, max_cycle_len=6)
 CENSUS = list(enumerate_invariants(WITH_BOUNDARY_BOUNDS))
+# test_census's 8,910-datum box
+CENSUS_BOX = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2, max_m=4,
+                               max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
 
 
 class TestEulerCharacteristic:
@@ -216,11 +225,9 @@ class TestClosedForm:
     def test_report_stream_pinned(self):
         # emit_json(cap_off(.)) over the with-boundary data of test_census's
         # 8,910 box, digest taken from the union-find surgery
-        bounds = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2,
-                                   max_m=4, max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
         digest = hashlib.sha256()
         count = 0
-        for inv in enumerate_invariants(bounds):
+        for inv in enumerate_invariants(CENSUS_BOX):
             if inv.closed:
                 continue
             digest.update((emit_json(cap_off(inv)) + "\n").encode())
@@ -231,8 +238,9 @@ class TestClosedForm:
 
 
 class TestValidateOncePerEntryPoint:
-    """Each public operation decides admissibility once; a capping result
-    is admissible by construction and is not validated again."""
+    """Each public operation decides admissibility once, and an ok verdict
+    is recorded on the instance: later operations on it validate nothing.
+    New instances (a capping result, ``replace``) start without a verdict."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -270,3 +278,73 @@ class TestValidateOncePerEntryPoint:
     def test_verify_capping_rejects_inadmissible_input(self):
         rep = cap_off(datum(t=1))
         assert not verify_capping(dataclasses.replace(rep, input=datum(b=1, t=1)))
+
+    def test_second_operation_on_same_instance_is_free(self, validations):
+        boundary = datum(t=1, graph=[["F", "RP", "SE", "RP"], ["F", "SP"]])
+        closed = datum(f=2)
+        free = datum(b=1, g=1, pairs=[(3, 1)])
+        cap_off(boundary)
+        is_formal(closed)
+        euler_number(free)
+        assert len(validations) == 3
+        for inv in (boundary, closed, free):
+            orbit_euler_characteristic(inv)
+            fixed_set_shape(inv)
+            orbit_space_poincare(inv)
+            equivariant_poincare(inv)
+            betti(inv, 3)
+        cap_off(boundary)
+        verify_capping(cap_off(boundary))  # validates input and output in full
+        is_formal(closed)
+        EquivariantCohomology(closed)
+        euler_number(free)
+        assert len(validations) == 5
+
+    def test_long_cycles_chain_validates_once(self, validations):
+        inv = datum(t=1, pairs=[(5, 2), (3, 1)], graph=[["F", "RP", "SE", "RP"] * 50])
+        assert orbitinv.validate(inv).ok
+        canonical_form(inv)
+        serialize(inv)
+        cap_off(inv)
+        assert validations == [inv]
+
+    def test_pipeline_chain_validates_twice(self, validations):
+        inv = datum(t=1, graph=[["F", "RP", "SE", "RP"]])
+        report = cap_off(inv)
+        equivariant_poincare(inv)
+        is_formal(report.output)
+        assert validations == [inv, report.output]
+
+    @pytest.mark.parametrize("copy_of", [dataclasses.replace, lambda inv: inv.replace()])
+    def test_replace_starts_unrecorded(self, validations, copy_of):
+        inv = datum(t=1)
+        cap_off(inv)
+        fresh = copy_of(inv)
+        assert fresh == inv and fresh is not inv
+        cap_off(fresh)
+        assert validations == [inv, fresh]
+
+    def test_inadmissible_revalidated_every_call(self, validations):
+        bad = datum(b=1, f=1, graph=[["F", "SE"]])
+        for operation in (cap_off, cap_off, equivariant_poincare, canonical_form):
+            with pytest.raises(InvariantError):
+                operation(bad)
+        assert not orbitinv.validate(bad).ok
+        assert validations == [bad] * 5
+
+    def test_verdict_is_not_part_of_the_value(self):
+        recorded, fresh = datum(t=1, pairs=[(3, 1)]), datum(t=1, pairs=[(3, 1)])
+        cap_off(recorded)
+        assert recorded == fresh and hash(recorded) == hash(fresh)
+        assert repr(recorded) == repr(fresh)
+        for clone in (pickle.loads(pickle.dumps(recorded)), copy.copy(recorded),
+                      copy.deepcopy(recorded)):
+            assert clone == recorded and hash(clone) == hash(recorded)
+            assert clone == fresh and hash(clone) == hash(fresh)
+
+    def test_census_data_are_their_own_normal_form(self):
+        count = 0
+        for inv in enumerate_invariants(CENSUS_BOX):
+            assert normalize(inv) is inv
+            count += 1
+        assert count == 8910

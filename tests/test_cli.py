@@ -171,3 +171,89 @@ class TestEnumerate:
         assert first == b"{b=-2;(o,g=0,f=0,s=0,t=0)}\n"
         assert proc.returncode == 0
         assert err == b""
+
+
+CAP_INPUT = "{b=0;(o,g=0,f=0,s=0,t=1);G=[<F,RP,SE,RP>]}"
+CAP_NOTES = (
+    "filled 1 torus boundary circle(s) with solid tori",
+    "cycle 0 <F,RP,SE,RP>: sewed RP arcs at positions 1 and 3 into one F and one SE arc",
+    "cycle 0 <F,RP,SE,RP> closed up into 1 fixed circle(s) and 1 special-exceptional "
+    "circle(s)",
+    "orientability kept as on the input; sewing projective-plane bands admits other "
+    "realizations",
+    "obstruction b stays 0; no twisted refilling of a torus boundary needed",
+)
+ENUMERATED = (
+    "{b=0;(o,g=0,f=0,s=0,t=0)}\n"
+    "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP>]}\n"
+    "{b=0;(o,g=0,f=0,s=0,t=0);G=[<SE,K>]}\n"
+    "{b=0;(o,g=0,f=0,s=0,t=1)}\n"
+    "{b=0;(o,g=0,f=0,s=0,t=1);G=[<F,SP>]}\n"
+    "{b=0;(o,g=0,f=0,s=0,t=1);G=[<SE,K>]}\n"
+)
+
+# (argv, text stdout, --json stdout); every subcommand exits 0 on these.
+PINNED = [
+    (["validate", "{b=5;(o,g=2,f=0,s=0,t=0);(3,1)}"],
+     "ok\n",
+     '{"ok": true, "violations": []}\n'),
+    (["canon", "{b=3;(n,g=1,f=0,s=0,t=0);(5,4),(3,1)}"],
+     "{b=1;(n,g=1,f=0,s=0,t=0);(3,1),(5,1)}\n",
+     '{"canonical": "{b=1;(n,g=1,f=0,s=0,t=0);(3,1),(5,1)}", "form": {"b": 1, '
+     '"eps": "n", "g": 1, "f": 0, "s": 0, "t": 0, "pairs": [[3, 1], [5, 1]], '
+     '"graph": []}}\n'),
+    (["equiv", "{b=2;(o,g=1,f=0,s=0,t=0);(3,1),(5,2)}",
+      "{b=2;(o,g=1,f=0,s=0,t=0);(5,2),(3,1)}"],
+     "equivalent\n",
+     '{"equivalent": true}\n'),
+    (["cap", CAP_INPUT],
+     f"input:  {CAP_INPUT}\n"
+     "output: {b=0;(o,g=0,f=1,s=1,t=0)}\n"
+     "chi: 0 -> 0\n" + "".join(f"  {note}\n" for note in CAP_NOTES),
+     '{"input": {"text": "' + CAP_INPUT + '", "b": 0, "eps": "o", "g": 0, "f": 0, '
+     '"s": 0, "t": 1, "pairs": [], "graph": [["F", "RP", "SE", "RP"]]}, '
+     '"output": {"text": "{b=0;(o,g=0,f=1,s=1,t=0)}", "b": 0, "eps": "o", "g": 0, '
+     '"f": 1, "s": 1, "t": 0, "pairs": [], "graph": []}, "chi_before": 0, '
+     '"chi_after": 0, "rp_pairings": [{"cycle": 0, "positions": [1, 3]}], "notes": ['
+     + ", ".join(f'"{note}"' for note in CAP_NOTES) + "]}\n"),
+    (["betti", "{b=0;(o,g=1,f=2,s=1,t=0)}", "--upto", "5"],
+     "1 4 2 2 2 2\n",
+     '{"betti": [1, 4, 2, 2, 2, 2]}\n'),
+    (["poincare", "{b=0;(o,g=0,f=1,s=0,t=0)}", "--upto", "4"],
+     "(1 - x + x^2)/(1 - x)\n= 1 + x^2 + x^3 + x^4 + ...\n",
+     '{"numerator": [1, -1, 1], "denominator": [1, -1], "expansion": [1, 0, 1, 1, 1]}\n'),
+    (["formal", "{b=0;(o,g=0,f=2,s=1,t=0)}"],
+     "formal (orientable orbit surface with g = 0, s = 1)\n"
+     "  deg 0: delta_1+delta_2\n"
+     "  deg 1: theta_1\n"
+     "  deg 1: theta_2\n"
+     "  deg 2: u*(delta_1-delta_2)\n",
+     '{"formal": true, "reason": "orientable orbit surface with g = 0, s = 1", '
+     '"generators": [{"degree": 0, "label": "delta_1+delta_2"}, {"degree": 1, '
+     '"label": "theta_1"}, {"degree": 1, "label": "theta_2"}, {"degree": 2, '
+     '"label": "u*(delta_1-delta_2)"}]}\n'),
+    (["euler", "{b=1;(o,g=0,f=0,s=0,t=0);(3,2),(5,3)}"],
+     "31/15\n",
+     '{"num": 31, "den": 15}\n'),
+    (["classify2d", "1", "0", "1"],
+     "Mobius band\n",
+     '{"surface": "Mobius band"}\n'),
+    # enumerate accepts --json and prints the same text lines
+    (["enumerate", "--bounds", "max_t=1", "max_cycles=1", "max_cycle_len=2"],
+     ENUMERATED,
+     ENUMERATED),
+]
+
+
+class TestPinnedOutput:
+    """Exact stdout and exit code of every subcommand, text and JSON."""
+
+    def test_every_subcommand_pinned(self):
+        assert {argv[0] for argv, _, _ in PINNED} == {
+            "validate", "canon", "equiv", "cap", "betti", "poincare", "formal", "euler",
+            "classify2d", "enumerate"}
+
+    @pytest.mark.parametrize("argv, text, as_json", PINNED, ids=[p[0][0] for p in PINNED])
+    def test_stdout_and_exit_code(self, capsys, argv, text, as_json):
+        assert run(capsys, *argv) == (0, text, "")
+        assert run(capsys, *argv, "--json") == (0, as_json, "")

@@ -1,7 +1,11 @@
 """Validation, normalization, canonical forms, and the 2d classification."""
 
 import random
+import re
+from fractions import Fraction
+from numbers import Integral
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +98,55 @@ class TestValidate:
         report = validate(datum(eps="n", g=1).replace(**{field: value}))
         assert not report.ok
         assert "domain" in [v.condition for v in report.violations]
+
+
+def integral(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+PAIR_ENTRY = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(np.int64),
+    st.integers(0, 12).map(np.uint8),
+    st.booleans(),
+    st.floats(),
+    st.fractions(),
+    st.text(max_size=3),
+)
+
+
+class TestPairEntries:
+    """Tuple pairs keep every entry exactly: integral ones become ``int``,
+    any other is left for ``validate`` to report as a domain violation."""
+
+    @given(st.lists(st.tuples(PAIR_ENTRY, PAIR_ENTRY), max_size=3))
+    def test_non_integral_entries_reported_never_truncated(self, pairs):
+        inv = datum(g=1, pairs=pairs)
+        for given_pair, pair in zip(pairs, inv.pairs):
+            for value, kept in zip(given_pair, (pair.m, pair.n)):
+                if integral(value):
+                    assert type(kept) is int and kept == value
+                else:
+                    assert kept is value
+        report = validate(inv)
+        domain = [v.message.split(" ", 2)[1] for v in report.violations
+                  if v.condition == "domain"]
+        assert domain == [f"#{i}" for i, pair in enumerate(pairs)
+                          if not all(map(integral, pair))]
+
+    @pytest.mark.parametrize("pair", [(3.7, 1), (Fraction(7, 2), 1), ("5", "2"),
+                                      (Fraction(3), 1), (True, 1)])
+    def test_inexact_entries_are_not_truncated_into_admissibility(self, pair):
+        inv = datum(pairs=[pair])
+        assert (inv.pairs[0].m, inv.pairs[0].n) == pair
+        assert [v.condition for v in validate(inv).violations] == ["domain"]
+        with pytest.raises(InvariantError, match="domain"):
+            cap_off(inv.replace(t=1))
+
+    @pytest.mark.parametrize("pair", [(3, 1, 1), (3,), (), 5])
+    def test_pair_of_other_length_is_named(self, pair):
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            datum(pairs=[pair])
 
 
 class TestNormalize:

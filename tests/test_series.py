@@ -23,7 +23,6 @@ from orbitinv import (
     valid_cycle_words,
     validate,
 )
-from orbitinv.series import _equivariant_poincare, _orbit_space_poincare
 
 
 def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
@@ -194,7 +193,7 @@ def general_reduction(inv):
     x^2 times the fixed set's cohomology polynomial over 1 - x^2."""
     fiber = fixed_set_shape(inv).cohomology_polynomial()
     x2 = Poly((0, 0, 1))
-    return _orbit_space_poincare(inv) + PoincareSeries(x2 * fiber, 1 - x2)
+    return orbit_space_poincare(inv) + PoincareSeries(x2 * fiber, 1 - x2)
 
 
 BOUNDARY_CASES = (
@@ -218,7 +217,7 @@ class TestClosedForm:
                 continue
             shape = fixed_set_shape(inv)
             shapes.add((shape.circles > 0, shape.intervals > 0, inv.closed))
-            assert _equivariant_poincare(inv) == general_reduction(inv), inv
+            assert equivariant_poincare(inv) == general_reduction(inv), inv
         assert shapes == {(c, i, closed) for c in (False, True) for i in (False, True)
                           for closed in (False, True) if not (i and closed)}
 
@@ -227,7 +226,7 @@ class TestClosedForm:
     def test_random_forced_graphs_match_general_reduction(self, eps, g, f, s, t, graph):
         inv = datum(eps=eps, g=g + (eps == "n"), f=f, s=s, t=t, graph=graph)
         assert validate(inv).ok
-        assert _equivariant_poincare(inv) == general_reduction(inv)
+        assert equivariant_poincare(inv) == general_reduction(inv)
 
     def test_no_polynomial_gcd_or_fraction_on_the_path(self, monkeypatch):
         def forbidden(*args):
