@@ -5,15 +5,20 @@ argument (or ``@file`` to read a file).  Exit codes: 0 on success, 1 when
 the input fails to parse or validate (diagnostics on stderr), 2 on usage
 errors.  ``--json`` switches the output to the stable JSON forms of
 ``textio``.
+
+``COMMANDS`` maps each subcommand to (run function, help text, argument
+specs added after ``--json``).  A run function returns the JSON value, the
+text (``None`` for no stdout) and the exit code, and ``main`` alone writes
+stdout; ``enumerate`` returns two iterators, streamed one line per datum.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .capping import cap_off
 from .census import EnumerationBounds, enumerate_invariants
@@ -37,113 +42,62 @@ def _read_datum(arg: str) -> OrbitInvariants:
     return parse(arg)
 
 
-def cmd_validate(args) -> int:
-    inv = _read_datum(args.datum)
-    report = validate(inv)
-    if args.json:
-        print(emit_json(report))
-    elif report.ok:
-        print("ok")
-    if not report.ok:
-        for violation in report.violations:
-            print(str(violation), file=sys.stderr)
-        return 1
-    return 0
+def run_validate(args):
+    report = validate(_read_datum(args.datum))
+    for violation in report.violations:
+        print(violation, file=sys.stderr)
+    return report, "ok" if report.ok else None, 0 if report.ok else 1
 
 
-def cmd_canon(args) -> int:
+def run_canon(args):
     inv = _read_datum(args.datum)
     form = canonical_form(inv)  # raises with the violations when inadmissible
     text = serialize(normalize(inv))
-    if args.json:
-        print(emit_json({"canonical": text, "form": to_jsonable(form)}))
-    else:
-        print(text)
-    return 0
+    return {"canonical": text, "form": to_jsonable(form)}, text, 0
 
 
-def cmd_equiv(args) -> int:
-    a = _read_datum(args.left)
-    b = _read_datum(args.right)
-    answer = equivalent(a, b)
-    if args.json:
-        print(emit_json({"equivalent": answer}))
-    else:
-        print("equivalent" if answer else "not equivalent")
-    return 0
+def run_equiv(args):
+    answer = equivalent(_read_datum(args.left), _read_datum(args.right))
+    return {"equivalent": answer}, "equivalent" if answer else "not equivalent", 0
 
 
-def cmd_cap(args) -> int:
+def run_cap(args):
+    report = cap_off(_read_datum(args.datum))
+    lines = [f"input:  {serialize(report.input)}", f"output: {serialize(report.output)}",
+             f"chi: {report.chi_before} -> {report.chi_after}"]
+    lines += (f"  {note}" for note in report.notes)
+    return report, "\n".join(lines), 0
+
+
+def run_betti(args):
     inv = _read_datum(args.datum)
-    report = cap_off(inv)
-    if args.json:
-        print(emit_json(report))
-    else:
-        print(f"input:  {serialize(report.input)}")
-        print(f"output: {serialize(report.output)}")
-        print(f"chi: {report.chi_before} -> {report.chi_after}")
-        for note in report.notes:
-            print(f"  {note}")
-    return 0
+    values = ([betti(inv, args.degree)] if args.degree is not None
+              else equivariant_poincare(inv).expansion(args.upto))
+    return {"betti": values}, " ".join(map(str, values)), 0
 
 
-def cmd_betti(args) -> int:
-    inv = _read_datum(args.datum)
-    if args.degree is not None:
-        values = [betti(inv, args.degree)]
-    else:
-        series = equivariant_poincare(inv)
-        values = series.expansion(args.upto)
-    if args.json:
-        print(json.dumps({"betti": values}))
-    else:
-        print(" ".join(str(v) for v in values))
-    return 0
+def run_poincare(args):
+    series = equivariant_poincare(_read_datum(args.datum))
+    text = f"{series.render()}\n= {series.render_expansion(args.upto)}"
+    return to_jsonable(series, args.upto), text, 0
 
 
-def cmd_poincare(args) -> int:
-    inv = _read_datum(args.datum)
-    series = equivariant_poincare(inv)
-    if args.json:
-        print(emit_json(series, expansion_upto=args.upto))
-    else:
-        print(series.render())
-        print(f"= {series.render_expansion(args.upto)}")
-    return 0
+def run_formal(args):
+    result = is_formal(_read_datum(args.datum))
+    head = f"formal ({result.reason})" if result.formal else f"not formal: {result.reason}"
+    lines = [head, *(f"  deg {gen.degree}: {gen.label}" for gen in result.generators)]
+    return result, "\n".join(lines), 0
 
 
-def cmd_formal(args) -> int:
-    inv = _read_datum(args.datum)
-    result = is_formal(inv)
-    if args.json:
-        print(emit_json(result))
-    elif result.formal:
-        print(f"formal ({result.reason})")
-        for gen in result.generators:
-            print(f"  deg {gen.degree}: {gen.label}")
-    else:
-        print(f"not formal: {result.reason}")
-    return 0
+def run_euler(args):
+    value = euler_number(_read_datum(args.datum))
+    return value, str(value), 0
 
 
-def cmd_euler(args) -> int:
-    inv = _read_datum(args.datum)
-    value = euler_number(inv)
-    if args.json:
-        print(emit_json(value))
-    else:
-        print(value)
-    return 0
-
-
-def cmd_classify2d(args) -> int:
+def run_classify2d(args):
     surface = classify_2d(args.boundary, args.fixed, args.special)
-    name = str(surface) if surface else "no such manifold"
-    if args.json:
-        print(json.dumps({"surface": str(surface) if surface else None}))
-    else:
-        print(name)
-    return 0 if surface else 1
+    name = str(surface) if surface else None
+    return {"surface": name}, name or "no such manifold", 0 if surface else 1
 
 
 def _parse_bounds(items: list[str]) -> EnumerationBounds:
@@ -167,11 +121,9 @@ def _parse_bounds(items: list[str]) -> EnumerationBounds:
     return EnumerationBounds(**fields)
 
 
-def cmd_enumerate(args) -> int:
-    bounds = _parse_bounds(args.bounds or [])
-    for inv in enumerate_invariants(bounds):
-        print(serialize(inv))
-    return 0
+def run_enumerate(args):
+    data = enumerate_invariants(_parse_bounds(args.bounds or []))
+    return data, map(serialize, data), 0
 
 
 def nonnegative_int(text: str) -> int:
@@ -181,6 +133,35 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+DATUM = ("datum", {"help": "invariant notation, or @file"})
+UPTO = {"type": nonnegative_int, "default": 10}
+COMMANDS = {
+    "validate": (run_validate, "check the admissibility conditions", [DATUM]),
+    "canon": (run_canon, "print the canonical (normalized, sorted) form", [DATUM]),
+    "equiv": (run_equiv, "decide equivariant diffeomorphism", [
+        ("left", {"help": "first datum, or @file"}),
+        ("right", {"help": "second datum, or @file"})]),
+    "cap": (run_cap, "cap off every boundary component", [DATUM]),
+    "betti": (run_betti, "equivariant Betti numbers", [
+        DATUM,
+        ("--upto", {**UPTO, "help": "print b_0..b_N (default 10)"}),
+        ("--degree", {"type": int, "help": "print a single Betti number"})]),
+    "poincare": (run_poincare, "equivariant Poincare series", [
+        DATUM,
+        ("--upto", {**UPTO, "help": "expansion truncation degree (default 10)"})]),
+    "formal": (run_formal, "equivariant formality and module generators", [DATUM]),
+    "euler": (run_euler, "orbifold Euler number of a closed fixed-point-free datum", [DATUM]),
+    "classify2d": (run_classify2d, "classify a 2-manifold with circle action", [
+        ("boundary", {"type": int, "help": "number of boundary circles"}),
+        ("fixed", {"type": int, "help": "number of fixed points"}),
+        ("special", {"type": int, "help": "number of special exceptional orbits"})]),
+    "enumerate": (run_enumerate, "stream a census within bounds", [
+        ("--bounds", {"nargs": "*", "metavar": "KEY=VALUE",
+                      "help": "max_g, max_f, max_s, max_t, max_r, max_m, max_cycles, "
+                              "max_cycle_len, b_range=LO..HI"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitinv",
@@ -188,55 +169,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "compact 3-manifolds with circle actions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str, datum: bool = True):
+    for name, (run, help_text, specs) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        if datum:
-            p.add_argument("datum", help="invariant notation, or @file")
-        return p
-
-    add("validate", cmd_validate, "check the admissibility conditions")
-    add("canon", cmd_canon, "print the canonical (normalized, sorted) form")
-
-    p = add("equiv", cmd_equiv, "decide equivariant diffeomorphism", datum=False)
-    p.add_argument("left", help="first datum, or @file")
-    p.add_argument("right", help="second datum, or @file")
-
-    add("cap", cmd_cap, "cap off every boundary component")
-
-    p = add("betti", cmd_betti, "equivariant Betti numbers")
-    p.add_argument("--upto", type=nonnegative_int, default=10,
-                   help="print b_0..b_N (default 10)")
-    p.add_argument("--degree", type=int, default=None, help="print a single Betti number")
-
-    p = add("poincare", cmd_poincare, "equivariant Poincare series")
-    p.add_argument("--upto", type=nonnegative_int, default=10,
-                   help="expansion truncation degree (default 10)")
-
-    add("formal", cmd_formal, "equivariant formality and module generators")
-    add("euler", cmd_euler, "orbifold Euler number of a closed fixed-point-free datum")
-
-    p = add("classify2d", cmd_classify2d, "classify a 2-manifold with circle action",
-            datum=False)
-    p.add_argument("boundary", type=int, help="number of boundary circles")
-    p.add_argument("fixed", type=int, help="number of fixed points")
-    p.add_argument("special", type=int, help="number of special exceptional orbits")
-
-    p = add("enumerate", cmd_enumerate, "stream a census within bounds", datum=False)
-    p.add_argument("--bounds", nargs="*", metavar="KEY=VALUE",
-                   help="max_g, max_f, max_s, max_t, max_r, max_m, max_cycles, "
-                        "max_cycle_len, b_range=LO..HI")
-
+        for arg, kwargs in specs:
+            p.add_argument(arg, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        value, text, code = args.run(args)
+        if not isinstance(value, Iterator):  # only enumerate streams
+            value, text = [value], [text]
+        for line in map(emit_json, value) if args.json else text:
+            if line is not None:
+                print(line)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -97,10 +97,18 @@ def _as_pair(value: PairLike) -> SeifertPair:
     return SeifertPair(m, n)
 
 
+def _iterate(value, what: str):
+    """``iter(value)``, or a ValueError naming the field that ``what`` describes."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
 def _as_graph(value) -> CycleGraph:
     if isinstance(value, CycleGraph):
         return value
-    return CycleGraph.from_labels(value)
+    return CycleGraph.from_labels(_iterate(value, "graph is an iterable of cycles"))
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,8 @@ class OrbitInvariants:
     def __post_init__(self) -> None:
         if isinstance(self.eps, str):
             object.__setattr__(self, "eps", Orientability.from_letter(self.eps))
-        object.__setattr__(self, "pairs", tuple(_as_pair(p) for p in self.pairs))
+        pairs = _iterate(self.pairs, "pairs is an iterable of (m, n) pairs")
+        object.__setattr__(self, "pairs", tuple(_as_pair(p) for p in pairs))
         object.__setattr__(self, "graph", _as_graph(self.graph))
 
     @property

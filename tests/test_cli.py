@@ -191,6 +191,20 @@ ENUMERATED = (
     "{b=0;(o,g=0,f=0,s=0,t=1);G=[<F,SP>]}\n"
     "{b=0;(o,g=0,f=0,s=0,t=1);G=[<SE,K>]}\n"
 )
+ENUMERATED_JSON = (
+    '{"text": "{b=0;(o,g=0,f=0,s=0,t=0)}", "b": 0, "eps": "o", "g": 0, "f": 0, "s": 0, '
+    '"t": 0, "pairs": [], "graph": []}\n'
+    '{"text": "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP>]}", "b": 0, "eps": "o", "g": 0, "f": 0, '
+    '"s": 0, "t": 0, "pairs": [], "graph": [["F", "SP"]]}\n'
+    '{"text": "{b=0;(o,g=0,f=0,s=0,t=0);G=[<SE,K>]}", "b": 0, "eps": "o", "g": 0, "f": 0, '
+    '"s": 0, "t": 0, "pairs": [], "graph": [["SE", "K"]]}\n'
+    '{"text": "{b=0;(o,g=0,f=0,s=0,t=1)}", "b": 0, "eps": "o", "g": 0, "f": 0, "s": 0, '
+    '"t": 1, "pairs": [], "graph": []}\n'
+    '{"text": "{b=0;(o,g=0,f=0,s=0,t=1);G=[<F,SP>]}", "b": 0, "eps": "o", "g": 0, "f": 0, '
+    '"s": 0, "t": 1, "pairs": [], "graph": [["F", "SP"]]}\n'
+    '{"text": "{b=0;(o,g=0,f=0,s=0,t=1);G=[<SE,K>]}", "b": 0, "eps": "o", "g": 0, "f": 0, '
+    '"s": 0, "t": 1, "pairs": [], "graph": [["SE", "K"]]}\n'
+)
 
 # (argv, text stdout, --json stdout); every subcommand exits 0 on these.
 PINNED = [
@@ -238,10 +252,10 @@ PINNED = [
     (["classify2d", "1", "0", "1"],
      "Mobius band\n",
      '{"surface": "Mobius band"}\n'),
-    # enumerate accepts --json and prints the same text lines
+    # enumerate --json writes one emit_json(datum) object per line (JSON Lines)
     (["enumerate", "--bounds", "max_t=1", "max_cycles=1", "max_cycle_len=2"],
      ENUMERATED,
-     ENUMERATED),
+     ENUMERATED_JSON),
 ]
 
 
@@ -257,3 +271,190 @@ class TestPinnedOutput:
     def test_stdout_and_exit_code(self, capsys, argv, text, as_json):
         assert run(capsys, *argv) == (0, text, "")
         assert run(capsys, *argv, "--json") == (0, as_json, "")
+
+
+VIOLATION = "condition 1: b must be 0 when f+s+t > 0 or the graph is nonempty, got b=3\n"
+UNTERMINATED_ERR = "error: " + "; ".join(
+    f"at 11..11: expected {token!r}, got 'end of input'"
+    for token in (",", "f", "=", ",", "s", "=", ")", "}")) + "\n"
+
+# (argv, exit code, stdout, stderr) of the paths that do not exit 0.
+FAILURES = [
+    pytest.param(["validate", "{b=3;(o,g=0,f=2,s=0,t=0)}"], 1, "", VIOLATION,
+                 id="validate-inadmissible"),
+    pytest.param(["validate", "{b=3;(o,g=0,f=2,s=0,t=0)}", "--json"], 1,
+                 '{"ok": false, "violations": [{"condition": "1", "message": "b must be 0 '
+                 'when f+s+t > 0 or the graph is nonempty, got b=3"}]}\n',
+                 VIOLATION, id="validate-inadmissible-json"),
+    pytest.param(["classify2d", "3", "0", "0"], 1, "no such manifold\n", "",
+                 id="classify2d-none"),
+    pytest.param(["classify2d", "3", "0", "0", "--json"], 1, '{"surface": null}\n', "",
+                 id="classify2d-none-json"),
+    pytest.param(["cap", "{b=0;(o,g=0,f=1,s=0,t=0)}"], 1, "",
+                 "error: datum is already closed: nothing to cap\n", id="cap-closed"),
+    pytest.param(["betti", "{b=0;(o,g=0"], 1, "", UNTERMINATED_ERR, id="betti-unparsable"),
+    pytest.param(["betti", "{b=0;(o,g=0,f=1,s=0,t=0)}", "--degree", "-1"], 1, "",
+                 "error: degree must be nonnegative\n", id="betti-negative-degree"),
+    pytest.param(["validate", "@/no/such/file.inv"], 1, "",
+                 "error: [Errno 2] No such file or directory: '/no/such/file.inv'\n",
+                 id="validate-missing-file"),
+]
+
+
+class TestPinnedFailures:
+    """Exact exit code, stdout and stderr of the paths that do not exit 0."""
+
+    @pytest.mark.parametrize("argv, code, out, err", FAILURES)
+    def test_exit_code_stdout_stderr(self, capsys, argv, code, out, err):
+        assert run(capsys, *argv) == (code, out, err)
+
+
+# `--help` stdout at 80 columns, for `orbitinv` (None) and each subcommand.
+HELP = {
+    None: (
+        "usage: orbitinv [-h]\n"
+        "                {validate,canon,equiv,cap,betti,poincare,formal,euler,classify2d,enumerate}\n"
+        "                ...\n"
+        "\n"
+        "Classification data and exact equivariant cohomology of compact 3-manifolds\n"
+        "with circle actions.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {validate,canon,equiv,cap,betti,poincare,formal,euler,classify2d,enumerate}\n"
+        "    validate            check the admissibility conditions\n"
+        "    canon               print the canonical (normalized, sorted) form\n"
+        "    equiv               decide equivariant diffeomorphism\n"
+        "    cap                 cap off every boundary component\n"
+        "    betti               equivariant Betti numbers\n"
+        "    poincare            equivariant Poincare series\n"
+        "    formal              equivariant formality and module generators\n"
+        "    euler               orbifold Euler number of a closed fixed-point-free\n"
+        "                        datum\n"
+        "    classify2d          classify a 2-manifold with circle action\n"
+        "    enumerate           stream a census within bounds\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "validate": (
+        "usage: orbitinv validate [-h] [--json] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum       invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "canon": (
+        "usage: orbitinv canon [-h] [--json] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum       invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "equiv": (
+        "usage: orbitinv equiv [-h] [--json] left right\n"
+        "\n"
+        "positional arguments:\n"
+        "  left        first datum, or @file\n"
+        "  right       second datum, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "cap": (
+        "usage: orbitinv cap [-h] [--json] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum       invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "betti": (
+        "usage: orbitinv betti [-h] [--json] [--upto UPTO] [--degree DEGREE] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum            invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --json           emit JSON on stdout\n"
+        "  --upto UPTO      print b_0..b_N (default 10)\n"
+        "  --degree DEGREE  print a single Betti number\n"
+    ),
+    "poincare": (
+        "usage: orbitinv poincare [-h] [--json] [--upto UPTO] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum        invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --json       emit JSON on stdout\n"
+        "  --upto UPTO  expansion truncation degree (default 10)\n"
+    ),
+    "formal": (
+        "usage: orbitinv formal [-h] [--json] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum       invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "euler": (
+        "usage: orbitinv euler [-h] [--json] datum\n"
+        "\n"
+        "positional arguments:\n"
+        "  datum       invariant notation, or @file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "classify2d": (
+        "usage: orbitinv classify2d [-h] [--json] boundary fixed special\n"
+        "\n"
+        "positional arguments:\n"
+        "  boundary    number of boundary circles\n"
+        "  fixed       number of fixed points\n"
+        "  special     number of special exceptional orbits\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      emit JSON on stdout\n"
+    ),
+    "enumerate": (
+        "usage: orbitinv enumerate [-h] [--json] [--bounds [KEY=VALUE ...]]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --json                emit JSON on stdout\n"
+        "  --bounds [KEY=VALUE ...]\n"
+        "                        max_g, max_f, max_s, max_t, max_r, max_m, max_cycles,\n"
+        "                        max_cycle_len, b_range=LO..HI\n"
+    ),
+}
+
+
+class TestPinnedHelp:
+    """Every argument, default, metavar and help string of the parser."""
+
+    def test_every_subcommand_pinned(self):
+        assert set(HELP) == {None} | {argv[0] for argv, _, _ in PINNED}
+
+    @pytest.mark.parametrize("command", list(HELP), ids=[str(c) for c in HELP])
+    def test_help_stdout(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main(([command] if command else []) + ["--help"])
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == (0, HELP[command], "")

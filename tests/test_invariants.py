@@ -148,6 +148,12 @@ class TestPairEntries:
         with pytest.raises(ValueError, match=re.escape(repr(pair))):
             datum(pairs=[pair])
 
+    @pytest.mark.parametrize("field", ["pairs", "graph"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_non_iterable_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} is an iterable .*, got {value}$"):
+            datum(**{field: value})
+
 
 class TestNormalize:
     def test_nonorientable_pair_reduction(self):
