@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .elements import CohomElement, EquivariantCohomology
 from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, require_valid
@@ -126,19 +127,14 @@ def is_formal(inv: OrbitInvariants) -> FormalityResult:
 
 
 def inverse_mod(n: int, m: int) -> int:
-    """The unique l with l*n = 1 (mod m) and 0 < l < m, by extended Euclid.
+    """The unique l with l*n = 1 (mod m) and 0 < l < m.
 
     Requires m >= 2 and gcd(n, m) = 1.
     """
-    r0, r1 = n % m, m
-    s0, s1 = 1, 0
-    while r1:
-        quotient = r0 // r1
-        r0, r1 = r1, r0 - quotient * r1
-        s0, s1 = s1, s0 - quotient * s1
-    if r0 != 1:
-        raise ValueError(f"{n} is not invertible mod {m}: gcd = {r0}")
-    return s0 % m
+    try:
+        return pow(n, -1, m)
+    except ValueError:
+        raise ValueError(f"{n} is not invertible mod {m}: gcd = {gcd(n, m)}") from None
 
 
 def euler_number(inv: OrbitInvariants) -> Fraction:

@@ -363,18 +363,6 @@ class CanonicalForm:
     pairs: tuple[SeifertPair, ...]
     graph_canon: tuple[Cycle, ...]
 
-    def sort_key(self):
-        return (
-            self.eps.value,
-            self.g,
-            self.f,
-            self.s,
-            self.t,
-            self.b,
-            self.pairs,
-            self.graph_canon,
-        )
-
 
 def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
     """Normalize, then forget pair order and every cycle presentation.

@@ -64,12 +64,6 @@ class Poly:
             return self.coeffs[k]
         return 0
 
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     @property
     def constant_term(self) -> Scalar:
         return self[0]

@@ -10,13 +10,13 @@ segments default to t=0, no pairs, empty graph.  Parsing checks grammar and
 nonnegativity only; admissibility of the parsed datum is a separate concern
 (see ``invariants.validate``).
 
-Well-formed text is read with one anchored regex match of the whole grammar.
-Text that match declines goes to the token parser, which decides and
-explains: its lexer is one compiled regex run with ``finditer``, tokens are
-plain ``(kind, text, start, end)`` tuples, and the parser reads the token
-list by index.  Whitespace is what ``str.isspace`` accepts, integers are
-runs of ``str.isdecimal`` digits, and names are runs of ``str.isalpha``
-letters.
+Well-formed text is read with one anchored regex match of the whole grammar,
+and that match is the only place text becomes a datum.  Text it declines
+goes to the token parser, which explains why: its lexer is one compiled
+regex run with ``finditer``, tokens are plain ``(kind, text, start, end)``
+tuples, and the parser reads the token list by index.  Whitespace is what
+``str.isspace`` accepts, integers are runs of ``str.isdecimal`` digits, and
+names are runs of ``str.isalpha`` letters.
 
 Errors come back as diagnostics carrying byte spans into the input, and the
 parser recovers where it can so one run may report several problems.  JSON
@@ -163,13 +163,11 @@ class _Parser:
         self.error(f"expected an integer, got {tok[1] or 'end of input'!r}")
         return None
 
-    def expect_nat(self) -> int | None:
+    def expect_nat(self) -> None:
         tok = self.peek()
         value = self.expect_int()
         if value is not None and value < 0:
             self.error(f"expected a nonnegative integer, got {value}", tok)
-            return None
-        return value
 
     def sync(self, stops: str) -> None:
         """Skip tokens until one of the stop punctuation marks or EOF."""
@@ -181,72 +179,47 @@ class _Parser:
 
     # ---- grammar -------------------------------------------------------
 
-    def parse_field(self, name: str) -> int | None:
+    def parse_field(self, name: str) -> None:
         ok = self.expect(name)
-        ok = self.expect("=") and ok
-        return self.expect_nat() if ok else None
+        if self.expect("=") and ok:
+            self.expect_nat()
 
-    def parse_header(self) -> tuple | None:
+    def parse_header(self) -> None:
         if not self.expect("("):
-            return None
+            return
         text = self.peek()[1]
-        eps = None
         if text in ("o", "n"):
             self.pos += 1
-            eps = Orientability.from_letter(text)
         else:
             self.error(f"expected orientability 'o' or 'n', got {text or 'end of input'!r}")
         self.expect(",")
-        g = self.parse_field("g")
+        self.parse_field("g")
         self.expect(",")
-        f = self.parse_field("f")
+        self.parse_field("f")
         self.expect(",")
-        s = self.parse_field("s")
-        t = 0
+        self.parse_field("s")
         if self.accept(","):
-            t = self.parse_field("t")
+            self.parse_field("t")
         self.expect(")")
-        if None in (eps, g, f, s, t):
-            return None
-        return eps, g, f, s, t
 
-    def parse_pair(self) -> SeifertPair | None:
+    def parse_pair(self) -> None:
         if not self.expect("("):
-            return None
-        m = self.expect_nat()
-        if not self.expect(","):
-            self.sync("),;}")
-            self.accept(")")
-            return None
-        n = self.expect_nat()
-        if not self.expect(")"):
-            self.sync("),;}")
-            self.accept(")")
-            return None
-        if m is None or n is None:
-            return None
-        return SeifertPair(m, n)
+            return
+        self.expect_nat()
+        if self.expect(","):
+            self.expect_nat()
+            if self.expect(")"):
+                return
+        self.sync("),;}")
+        self.accept(")")
 
-    def parse_pairs(self) -> list[SeifertPair]:
-        pairs = []
-        while True:
-            pair = self.parse_pair()
-            if pair is not None:
-                pairs.append(pair)
-            if not self.accept(","):
-                return pairs
-
-    def parse_cycle(self) -> tuple | None:
+    def parse_cycle(self) -> None:
         if not self.expect("<"):
-            return None
+            return
         tokens, labels = self.tokens, EdgeLabel.__members__
-        edges = []
-        broken = False
         pos = self.pos
         while True:
-            label = labels.get(tokens[pos][1])
-            if label is not None:
-                edges.append(label)
+            if tokens[pos][1] in labels:
                 pos += 1
             else:
                 self.pos = pos
@@ -254,7 +227,6 @@ class _Parser:
                            f"got {tokens[pos][1] or 'end of input'!r}")
                 self.sync(">,;]}")
                 pos = self.pos
-                broken = True
             if tokens[pos][1] != ",":
                 break
             pos += 1
@@ -262,51 +234,41 @@ class _Parser:
         if not self.expect(">"):
             self.sync(">,]};")
             self.accept(">")
-            broken = True
-        return None if broken else tuple(edges)
 
-    def parse_graph(self) -> CycleGraph | None:
+    def parse_graph(self) -> None:
         self.expect("G")
         self.expect("=")
         if not self.expect("["):
-            return None
-        cycles = []
-        broken = False
+            return
         if not self.at("]"):
-            while True:
-                cycle = self.parse_cycle()
-                if cycle is None:
-                    broken = True
-                else:
-                    cycles.append(cycle)
-                if not self.accept(","):
-                    break
-        if not self.expect("]"):
-            broken = True
-        return None if broken else CycleGraph(tuple(cycles))
+            self.parse_cycle()
+            while self.accept(","):
+                self.parse_cycle()
+        self.expect("]")
 
-    def parse_manifold(self) -> OrbitInvariants | None:
+    def diagnose(self) -> tuple[Diagnostic, ...]:
+        """Walk the whole grammar, recovering where it can, and return every
+        diagnostic; the empty tuple means the text is well formed."""
         self.expect("{")
         self.expect("b")
         self.expect("=")
-        b = self.expect_int()
+        self.expect_int()
         self.expect(";")
-        header = self.parse_header()
-
-        pairs: list[SeifertPair] = []
-        graph: CycleGraph | None = CycleGraph()
+        self.parse_header()
         seen_pairs = seen_graph = False
         while self.accept(";"):
             if self.at("("):
                 if seen_pairs or seen_graph:
                     self.error("pair list appears twice or after the graph")
                 seen_pairs = True
-                pairs = self.parse_pairs()
+                self.parse_pair()
+                while self.accept(","):
+                    self.parse_pair()
             elif self.at("G"):
                 if seen_graph:
                     self.error("graph segment appears twice")
                 seen_graph = True
-                graph = self.parse_graph()
+                self.parse_graph()
             else:
                 shown = self.peek()[1] or "end of input"
                 self.error(f"expected a pair list or 'G=[...]' after ';', got {shown!r}")
@@ -314,46 +276,47 @@ class _Parser:
         self.expect("}")
         if self.peek()[0] != "eof":
             self.error(f"trailing input after '}}': {self.peek()[1]!r}")
-
-        if self.diags or b is None or header is None or graph is None:
-            return None
-        eps, g, f, s, t = header
-        return OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s, t=t,
-                               pairs=tuple(pairs), graph=graph)
+        return tuple(self.diags)
 
 
-# The whole grammar as one anchored regex, for well-formed text.  It uses the
-# lexer's ``\s`` and ``\d`` classes, every keyword and label is followed by
-# ``\s*`` and punctuation (so it is a whole name token), and ``\s*`` stands
-# only directly before a mandatory token, so no two quantifiers share a
-# whitespace run and a failing match stays linear in the input.  NAT fields
-# take ``\d+`` only, so a text such as ``g=-0`` is left to ``_Parser``.
+# The whole grammar as one anchored regex: the only reader of text into a
+# datum.  It uses the lexer's ``\s`` and ``\d`` classes, every keyword and
+# label is followed by ``\s*`` and punctuation (so it is a whole name token),
+# and ``\s*`` stands only directly before a mandatory token, so no two
+# quantifiers share a whitespace run and a failing match stays linear in the
+# input.  Counts and pair entries take a sign, as the lexer's integers do;
+# ``_match_datum`` declines a negative one, so ``-0`` reads as 0.
 _LABEL = re.compile("|".join(EdgeLabel.__members__))
-_PAIR = r"\(\s*\d+\s*,\s*\d+\s*\)"
+_PAIR = r"\(\s*-?\d+\s*,\s*-?\d+\s*\)"
 _CYCLE = rf"<\s*(?:{_LABEL.pattern})(?:\s*,\s*(?:{_LABEL.pattern}))*\s*>"
 _DATUM = re.compile(
     r"\s*\{\s*b\s*=\s*(-?\d+)\s*;"
-    r"\s*\(\s*([on])\s*,\s*g\s*=\s*(\d+)\s*,\s*f\s*=\s*(\d+)\s*,\s*s\s*=\s*(\d+)"
-    r"(?:\s*,\s*t\s*=\s*(\d+))?\s*\)"
+    r"\s*\(\s*([on])\s*,\s*g\s*=\s*(-?\d+)\s*,\s*f\s*=\s*(-?\d+)\s*,\s*s\s*=\s*(-?\d+)"
+    r"(?:\s*,\s*t\s*=\s*(-?\d+))?\s*\)"
     rf"(?:\s*;\s*({_PAIR}(?:\s*,\s*{_PAIR})*))?"
     rf"(?:\s*;\s*G\s*=\s*\[((?:\s*{_CYCLE}(?:\s*,\s*{_CYCLE})*)?)\s*\])?"
     r"\s*\}\s*")
 _NAT = re.compile(r"\d+")
+_SIGNED = re.compile(r"-\d+")
 _CYCLE_BODY = re.compile(r"<([^>]*)>")
 
 
 def _match_datum(text: str) -> OrbitInvariants | None:
-    """The datum ``_Parser`` reads from ``text``, or None when ``text`` is not
-    one match of ``_DATUM`` or holds an integer literal too large for
-    ``int``; ``_Parser`` then decides, with its diagnostics."""
+    """The datum ``text`` spells, or None when ``text`` is not one match of
+    ``_DATUM``, has a negative count or pair entry, or holds an integer
+    literal too large for ``int``."""
     match = _DATUM.fullmatch(text)
     if match is None:
         return None
     b, eps, g, f, s, t, pairs, graph = match.groups()
+    pairs = pairs or ""
     try:
         b, g, f, s = int(b), int(g), int(f), int(s)
         t = 0 if t is None else int(t)
-        nums = map(int, _NAT.findall(pairs or ""))
+        # a signed pair entry other than -0 is negative; else the digits are the entry
+        if min(g, f, s, t) < 0 or ("-" in pairs and any(map(int, _SIGNED.findall(pairs)))):
+            return None
+        nums = map(int, _NAT.findall(pairs))
         pairs = tuple(map(SeifertPair, nums, nums))
     except ValueError:
         return None
@@ -367,20 +330,15 @@ def _match_datum(text: str) -> OrbitInvariants | None:
 def parse_with_diagnostics(text: str) -> tuple[OrbitInvariants | None, tuple[Diagnostic, ...]]:
     """Parse, returning either a datum or the collected diagnostics.
 
-    Well-formed text is read by one anchored match (``_match_datum``); text
-    that the match declines is decided by the token parser, which also gives
-    the diagnostics.
+    Text is read by one anchored match (``_match_datum``); the token parser
+    runs only on text the match declines, to explain why.
     Never raises on malformed input; any byte string that decodes as text is
     acceptable and yields diagnostics at worst.
     """
     datum = _match_datum(text)
     if datum is not None:
         return datum, ()
-    parser = _Parser(text)
-    datum = parser.parse_manifold()
-    if parser.diags:
-        return None, tuple(parser.diags)
-    return datum, ()
+    return None, _Parser(text).diagnose()
 
 
 def parse(text: str) -> OrbitInvariants:

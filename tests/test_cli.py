@@ -309,12 +309,23 @@ class TestPinnedFailures:
         assert run(capsys, *argv) == (code, out, err)
 
 
-# `--help` stdout at 80 columns, for `orbitinv` (None) and each subcommand.
-HELP = {
-    None: (
+# The usage lines of `orbitinv --help`: argparse 3.13 keeps the `...` on the
+# choices line.
+if sys.version_info >= (3, 13):
+    TOP_USAGE = (
+        "usage: orbitinv [-h]\n"
+        "                {validate,canon,equiv,cap,betti,poincare,formal,euler,classify2d,enumerate} ...\n"
+    )
+else:
+    TOP_USAGE = (
         "usage: orbitinv [-h]\n"
         "                {validate,canon,equiv,cap,betti,poincare,formal,euler,classify2d,enumerate}\n"
         "                ...\n"
+    )
+
+# `--help` stdout at 80 columns, for `orbitinv` (None) and each subcommand.
+HELP = {
+    None: TOP_USAGE + (
         "\n"
         "Classification data and exact equivariant cohomology of compact 3-manifolds\n"
         "with circle actions.\n"
