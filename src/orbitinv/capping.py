@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclegraph import Cycle, EdgeLabel, _render_word
-from .invariants import ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, require_valid, validate
+from .invariants import ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, _trusted, require_valid, validate
 
 
 class CappingError(ValueError):
@@ -134,7 +134,8 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
     chi_before = orbit_euler_characteristic(inv)
     return CappingReport(
         input=inv,
-        output=inv.replace(b=0, f=inv.f + new_f, s=inv.s + new_se, t=0, graph=EMPTY_GRAPH),
+        output=_trusted(0, inv.eps, inv.g, inv.f + new_f, inv.s + new_se, 0, inv.pairs,
+                        EMPTY_GRAPH),
         chi_before=chi_before,
         chi_after=chi_before + inv.t - len(pairings),
         rp_pairings=tuple(pairings),

@@ -8,6 +8,12 @@ surfaces start at genus 1, pairs and cycle words are generated in their
 normalized, sorted form, and the obstruction ranges only over the values
 condition (1) allows in each stratum.  No candidate is validated, compared
 or remembered, so memory does not grow with the stream.
+
+Each datum is built from parts already in their field types, without the
+public constructor's coercions, and carries an ok admissibility verdict
+from birth: operations on it run no ``validate`` (see
+``invariants.require_valid``).  Parsed, user-built and ``replace``d data
+carry none.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .cyclegraph import CycleGraph, valid_cycle_words
-from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair
+from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _trusted
 
 
 @dataclass(frozen=True)
@@ -95,5 +101,5 @@ def enumerate_invariants(bounds: EnumerationBounds) -> Iterator[OrbitInvariants]
                                 else:
                                     bs = tuple(range(lo, hi + 1))
                                 for b in bs:
-                                    yield OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s,
-                                                          t=t, pairs=pairs, graph=graph)
+                                    yield _trusted(b, eps, g, f, s, t, pairs, graph,
+                                                   admissible=True)

@@ -98,6 +98,14 @@ class CycleGraph:
     def from_labels(cls, cycles: Iterable[Iterable[LabelLike]]) -> "CycleGraph":
         return cls(tuple(tuple(c) for c in cycles))
 
+    @classmethod
+    def _of_words(cls, cycles: tuple[Cycle, ...]) -> "CycleGraph":
+        """A graph of cycles that are already tuples of ``EdgeLabel``s,
+        built without ``__post_init__``'s conversion."""
+        graph = object.__new__(cls)
+        graph.__dict__["cycles"] = cycles
+        return graph
+
     def __len__(self) -> int:
         return len(self.cycles)
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .invariants import ORIENTABLE, OrbitInvariants, require_valid
-from .polyq import Poly, Scalar as Coeff, as_poly, exact
+from .polyq import Poly, Scalar as Coeff, _poly, as_poly, exact
 
 
 class RelationError(ValueError):
@@ -310,8 +310,8 @@ def module_action(power: int, x: CohomElement) -> CohomElement:
     shift = (0,) * power
     return CohomElement(
         x.ring, 0, (0,) * len(x.A), (0,) * len(x.B), (0,) * len(x.C), (0,) * len(x.C_se),
-        tuple(Poly(shift + pl.coeffs) for pl in x.p),
-        tuple(Poly(shift + pl.coeffs) for pl in x.q),
+        tuple(_poly([*shift, *pl.coeffs]) for pl in x.p),
+        tuple(_poly([*shift, *pl.coeffs]) for pl in x.q),
     )
 
 

@@ -116,7 +116,9 @@ class OrbitInvariants:
     """The full classification datum.  Construction and :meth:`replace`
     never validate: a new instance starts without a verdict, and
     :func:`validate` records an ok one on the instance (see
-    :func:`require_valid`)."""
+    :func:`require_valid`).  Only the census's data carry an ok verdict
+    from birth, since each is admissible by construction; parsed,
+    user-built, capped, normalized and ``replace``d data do not."""
 
     b: int
     eps: Orientability
@@ -199,6 +201,28 @@ def _is_int(value) -> bool:
 _ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
 
 
+def _trusted(b: int, eps: Orientability, g: int, f: int, s: int, t: int,
+             pairs: tuple[SeifertPair, ...], graph: CycleGraph,
+             admissible: bool = False) -> OrbitInvariants:
+    """An ``OrbitInvariants`` of parts already in their field types, built
+    without ``__post_init__``'s coercions; for data the library builds
+    itself.  ``admissible`` records an ok verdict, for data admissible by
+    construction."""
+    inv = object.__new__(OrbitInvariants)
+    fields = inv.__dict__
+    fields["b"] = b
+    fields["eps"] = eps
+    fields["g"] = g
+    fields["f"] = f
+    fields["s"] = s
+    fields["t"] = t
+    fields["pairs"] = pairs
+    fields["graph"] = graph
+    if admissible:
+        fields[_ADMISSIBLE] = True
+    return inv
+
+
 def validate(inv: OrbitInvariants) -> ValidationReport:
     """Total admissibility check; violations are returned, never raised.
     Always runs in full, and records an ok verdict on ``inv``."""
@@ -236,19 +260,20 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
         bad(condition, f"pair #{idx} {pair}: {message}")
 
     for idx, pair in enumerate(inv.pairs):
-        if not (_is_int(pair.m) and _is_int(pair.n)):
-            bad_pair("domain", f"m and n must be integers, got {pair.m!r}, {pair.n!r}")
+        m, n = pair.m, pair.n
+        if not (type(m) is int and type(n) is int or _is_int(m) and _is_int(n)):
+            bad_pair("domain", f"m and n must be integers, got {m!r}, {n!r}")
             continue
-        if pair.m < 2 or pair.n < 1:
+        if m < 2 or n < 1:
             bad_pair("2", "need m >= 2 and n >= 1")
             continue
-        if math.gcd(pair.m, pair.n) != 1:
-            bad_pair("2", f"gcd(m, n) = {math.gcd(pair.m, pair.n)} != 1")
+        if math.gcd(m, n) != 1:
+            bad_pair("2", f"gcd(m, n) = {math.gcd(m, n)} != 1")
         if inv.eps is ORIENTABLE:
-            if not pair.n < pair.m:
+            if not n < m:
                 bad_pair("2", "need 0 < n < m for orientable data")
         elif inv.eps is NONORIENTABLE:
-            if not 2 * pair.n <= pair.m:
+            if not 2 * n <= m:
                 bad_pair("2", "need 0 < n <= m/2 for nonorientable data")
 
     for gv in validate_graph(inv.graph).violations:
@@ -301,7 +326,7 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
             and inv.f + inv.s + inv.t == 0 and not inv.graph):
         b = 0 if any(_is_int(p.m) and p.m == 2 for p in pairs) else b % 2
         changed = changed or b != inv.b
-    return inv.replace(b=b, pairs=pairs) if changed else inv
+    return _trusted(b, inv.eps, inv.g, inv.f, inv.s, inv.t, pairs, inv.graph) if changed else inv
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,14 @@ class Poly:
         return hash(("Poly", self.coeffs))
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _poly([-c for c in self.coeffs])
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self[k] + other[k] for k in range(n))
+        return _poly([self[k] + other[k] for k in range(n)])
 
     __radd__ = __add__
 
@@ -107,13 +107,13 @@ class Poly:
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Poly()
+            return _poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -163,6 +163,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
+
+
+def _poly(cs: list[Scalar]) -> Poly:
+    """A ``Poly`` of coefficients already ``int``/``Fraction``, as the ring
+    operations produce them: only trailing zeros are stripped, ``exact`` is
+    not mapped again."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    poly = object.__new__(Poly)
+    poly.coeffs = tuple(cs)
+    return poly
 
 
 def _coerce(value) -> Poly | None:

@@ -44,6 +44,7 @@ from .invariants import (
     SeifertPair,
     ValidationReport,
     Violation,
+    _trusted,
     pair_mn,
 )
 from .series import FixedSetShape, PoincareSeries
@@ -323,8 +324,7 @@ def _match_datum(text: str) -> OrbitInvariants | None:
     labels = EdgeLabel.__members__
     cycles = tuple(tuple(map(labels.__getitem__, _LABEL.findall(body)))
                    for body in _CYCLE_BODY.findall(graph or ""))
-    return OrbitInvariants(b=b, eps=Orientability.from_letter(eps), g=g, f=f, s=s, t=t,
-                           pairs=pairs, graph=CycleGraph(cycles))
+    return _trusted(b, Orientability(eps), g, f, s, t, pairs, CycleGraph._of_words(cycles))
 
 
 def parse_with_diagnostics(text: str) -> tuple[OrbitInvariants | None, tuple[Diagnostic, ...]]:
@@ -358,7 +358,7 @@ def serialize(inv: OrbitInvariants) -> str:
     graph segment is rendered once per ``CycleGraph`` instance
     (``canonical_text``) and reused, which is sound because graphs are
     immutable."""
-    out = [f"{{b={inv.b};({inv.eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
+    out = [f"{{b={inv.b};({inv.eps.value},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
     if inv.pairs:
         out.append(";" + ",".join(["(%s,%s)" % mn for mn in sorted(map(pair_mn, inv.pairs))]))
     if inv.graph:

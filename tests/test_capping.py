@@ -31,6 +31,7 @@ from orbitinv import (
     normalize,
     orbit_euler_characteristic,
     orbit_space_poincare,
+    parse,
     serialize,
     verify_capping,
 )
@@ -341,6 +342,37 @@ class TestValidateOncePerEntryPoint:
                       copy.deepcopy(recorded)):
             assert clone == recorded and hash(clone) == hash(recorded)
             assert clone == fresh and hash(clone) == hash(fresh)
+
+    @pytest.mark.parametrize("operation, closed", [
+        (cap_off, False),
+        (equivariant_poincare, False),
+        (equivariant_poincare, True),
+        (is_formal, True),
+    ])
+    def test_census_built_versus_user_built(self, validations, operation, closed):
+        census = [inv for inv in enumerate_invariants(CENSUS_BOX) if inv.closed is closed]
+        census = census[::len(census) // 40]
+        for inv in census:
+            operation(inv)
+        assert validations == []
+        for inv in census:
+            user_built = OrbitInvariants(**{field.name: getattr(inv, field.name)
+                                            for field in dataclasses.fields(inv)})
+            operation(user_built)
+            assert validations[-1] is user_built
+        assert len(validations) == len(census)
+
+    def test_parsed_capped_and_normalized_data_start_unrecorded(self, validations):
+        census = list(enumerate_invariants(CENSUS_BOX))[::200]
+        fresh = [parse(serialize(inv)) for inv in census]
+        fresh += [cap_off(inv).output for inv in census if not inv.closed]
+        unreduced = datum(b=3, eps="n", g=1, pairs=[(5, 4)])
+        fresh.append(normalize(unreduced))
+        assert fresh[-1] == datum(b=1, eps="n", g=1, pairs=[(5, 1)])
+        validations.clear()
+        for inv in fresh:
+            orbit_euler_characteristic(inv)
+        assert validations == fresh
 
     def test_census_data_are_their_own_normal_form(self):
         count = 0

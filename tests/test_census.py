@@ -1,13 +1,22 @@
 """Bounded enumeration: hand counts, dedup, determinism, the pinned stream."""
 
+import copy
 import hashlib
+import pickle
 
 import pytest
 
 from orbitinv import (
+    CycleGraph,
+    EdgeLabel,
     EnumerationBounds,
+    OrbitInvariants,
+    Orientability,
+    SeifertPair,
     canonical_form,
+    cap_off,
     enumerate_invariants,
+    parse,
     serialize,
     valid_cycle_words,
     validate,
@@ -109,3 +118,50 @@ class TestCensusProperties:
             EnumerationBounds(max_g=-1)
         with pytest.raises(ValueError):
             EnumerationBounds(b_range=(1, 0))
+
+
+def public_rebuild(inv):
+    """``inv`` built again by the public constructor from plain values: ints,
+    the orientability letter, ``(m, n)`` tuples and label names."""
+    return OrbitInvariants(
+        b=int(inv.b), eps=inv.eps.value, g=int(inv.g), f=int(inv.f), s=int(inv.s),
+        t=int(inv.t), pairs=[(int(p.m), int(p.n)) for p in inv.pairs],
+        graph=[[lab.name for lab in cycle] for cycle in inv.graph])
+
+
+def assert_same_datum(built, expected):
+    """``built`` is indistinguishable from the publicly built ``expected``."""
+    assert built == expected and hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert clone == expected and hash(clone) == hash(expected)
+    assert all(type(getattr(built, name)) is int for name in "bgfst")
+    assert type(built.eps) is Orientability
+    assert type(built.pairs) is tuple
+    assert all(type(p) is SeifertPair and type(p.m) is int and type(p.n) is int
+               for p in built.pairs)
+    assert type(built.graph) is CycleGraph and type(built.graph.cycles) is tuple
+    assert all(type(cycle) is tuple and all(type(lab) is EdgeLabel for lab in cycle)
+               for cycle in built.graph)
+
+
+class TestTrustedConstruction:
+    """Data the library builds itself, without the public constructor's
+    coercions, equal the same data built publicly from plain values."""
+
+    def test_census_parse_and_cap_off_match_public_construction(self):
+        count = 0
+        for inv in enumerate_invariants(TestCensusProperties.BOUNDS):
+            rebuilt = public_rebuild(inv)
+            assert_same_datum(inv, rebuilt)
+            # the verdict each census datum carries from birth is right
+            assert validate(rebuilt).ok
+            parsed = parse(serialize(inv))
+            assert_same_datum(parsed, public_rebuild(parsed))
+            assert parsed == inv
+            if not inv.closed:
+                output = cap_off(inv).output
+                assert_same_datum(output, public_rebuild(output))
+                assert output == inv.replace(b=0, f=output.f, s=output.s, t=0, graph=())
+            count += 1
+        assert count == 8910

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import orbitinv.elements
+import orbitinv.polyq
 from orbitinv import (
     ContextError,
     EquivariantCohomology,
@@ -17,7 +19,9 @@ from orbitinv import (
     cohom_zero,
     cup,
     degree_decompose,
+    is_formal,
     module_action,
+    parse,
 )
 
 U = Poly((0, 1))
@@ -321,6 +325,33 @@ class TestExactScalars:
         x = cup(module_action(2, ring.unit()) + theta, theta.scaled(3))
         scalars = [x.D, *x.C, *(c for pl in x.p + x.q for c in pl.coeffs)]
         assert all(type(c) is int for c in scalars)
+
+    def test_arithmetic_results_match_public_construction(self, monkeypatch):
+        """Ring operations build their results without mapping ``exact``
+        again; routing them through the public ``Poly(...)`` changes no
+        coefficient and no coefficient type."""
+        gens = [gen.element for gen in
+                is_formal(parse("{b=0;(o,g=0,f=2,s=0,t=0)}")).generators]
+        gens += [gen.scaled(Fraction(1, 2)) for gen in gens]
+
+        def results():
+            return ([cup(a, b) for a in gens for b in gens]
+                    + [module_action(k, a) for k in range(4) for a in gens])
+
+        def coefficients(x):
+            return [pl.coeffs for pl in x.p + x.q]
+
+        fast = results()
+        for module in (orbitinv.polyq, orbitinv.elements):
+            monkeypatch.setattr(module, "_poly", Poly)
+        public = results()
+        assert fast == public
+        for x, y in zip(fast, public):
+            assert coefficients(x) == coefficients(y)
+            assert ([list(map(type, cs)) for cs in coefficients(x)]
+                    == [list(map(type, cs)) for cs in coefficients(y)])
+        types = {type(c) for x in fast for cs in coefficients(x) for c in cs}
+        assert types == {int, Fraction}
 
     def test_division_stays_rational(self):
         quo, rem = divmod(Poly((1, 0, 1)), Poly((0, 2)))

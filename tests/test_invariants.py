@@ -77,11 +77,28 @@ class TestValidate:
         assert not report.ok
         assert all(v.condition == "domain" for v in report.violations)
 
-    @pytest.mark.parametrize("pair", [SeifertPair("3", 1), SeifertPair(3, 1.0),
-                                      SeifertPair(True, 1), SeifertPair(3, True)])
-    def test_non_integer_pair_entries_reported_not_raised(self, pair):
-        report = validate(datum(g=1, pairs=(pair,)))
-        assert [v.condition for v in report.violations] == ["domain"]
+    @pytest.mark.parametrize("pair, got", [
+        (SeifertPair("3", 1), "'3', 1"),
+        (SeifertPair(3, 1.0), "3, 1.0"),
+        (SeifertPair(True, 1), "True, 1"),
+        (SeifertPair(3, True), "3, True"),
+        (SeifertPair(np.int64(3), 1), f"{np.int64(3)!r}, 1"),
+        (SeifertPair(3, Fraction(1)), "3, Fraction(1, 1)"),
+    ])
+    def test_non_integer_pair_entries_reported_not_raised(self, pair, got):
+        report = validate(datum(g=1, pairs=(pair, (4, 2))))
+        assert [(v.condition, v.message) for v in report.violations] == [
+            ("domain", f"pair #0 {pair}: m and n must be integers, got {got}"),
+            ("2", "pair #1 (4,2): gcd(m, n) = 2 != 1")]
+
+    def test_int_subclass_pair_entries_count_as_integers(self):
+        class Count(int):
+            pass
+
+        assert validate(datum(pairs=[SeifertPair(Count(3), Count(1))])).ok
+        report = validate(datum(eps="n", g=1, pairs=[SeifertPair(Count(5), Count(3))]))
+        assert [str(v) for v in report.violations] == [
+            "condition 2: pair #0 (5,3): need 0 < n <= m/2 for nonorientable data"]
 
     @pytest.mark.parametrize("eps", [5, None, True])
     def test_eps_outside_orientability_reported(self, eps):
