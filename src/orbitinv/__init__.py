@@ -30,8 +30,6 @@ from .elements import (
     ContextError,
     EquivariantCohomology,
     RelationError,
-    cohom_from_parts,
-    cohom_zero,
     cup,
     degree_decompose,
     module_action,

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .cyclegraph import CycleGraph, valid_cycle_words
-from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _trusted
+from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _is_int, _trusted
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,14 @@ class EnumerationBounds:
         for name in ("max_g", "max_f", "max_s", "max_t", "max_r", "max_m",
                      "max_cycles", "max_cycle_len"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        lo, hi = self.b_range
+        try:
+            lo, hi = self.b_range
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not (_is_int(lo) and _is_int(hi)):
+            raise ValueError(f"b_range must be a pair of integers, got {self.b_range!r}")
         if lo > hi:
             raise ValueError(f"empty b_range {self.b_range}")
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
 from .invariants import ORIENTABLE, OrbitInvariants, require_valid
@@ -269,14 +270,6 @@ class CohomElement:
         return self.render()
 
 
-def cohom_zero(ring: EquivariantCohomology) -> CohomElement:
-    return ring.zero()
-
-
-def cohom_from_parts(ring: EquivariantCohomology, **parts) -> CohomElement:
-    return ring.from_parts(**parts)
-
-
 def cup(a: CohomElement, b: CohomElement) -> CohomElement:
     """Cup product.
 
@@ -302,7 +295,11 @@ def cup(a: CohomElement, b: CohomElement) -> CohomElement:
 def module_action(power: int, x: CohomElement) -> CohomElement:
     """Multiply by the degree-2 polynomial generator ``power`` times, i.e. cup
     with (sum_i u delta_i)^power: for power >= 1 the surface part vanishes
-    and every p_i, q_i is shifted up by u^power."""
+    and every p_i, q_i is shifted up by u^power.  A ``power`` that is not an
+    integer, a ``bool`` included, is a ``TypeError``."""
+    if power.__class__ is not int and (isinstance(power, bool)
+                                       or not isinstance(power, Integral)):
+        raise TypeError(f"power must be an integer, got {power!r}")
     if power < 0:
         raise ValueError("power must be nonnegative")
     if power == 0:

@@ -3,8 +3,8 @@
 Coefficients are ``int``, or ``fractions.Fraction`` once a non-integer
 appears, never ``float``: :func:`exact` refuses inexact scalars, and nothing
 in this package ever touches floating point.  The class is deliberately
-small: just what the Poincare-series and cohomology modules need (ring
-operations, evaluation, exact division, gcd).
+small: just what the Poincare-series and cohomology modules need (exact
+scalars, the ring operations and rendering).
 """
 
 from __future__ import annotations
@@ -117,30 +117,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = Fraction(rem[k]) / lead
-            if c:
-                quo[k - d] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k - d + j] -= c * b
-        return Poly(quo), Poly(rem)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return Poly(Fraction(c) / lead for c in self.coeffs)
-
     def render(self, var: str = "x") -> str:
         """Human form like ``1 - x^2`` or ``2x``; the zero polynomial is ``0``."""
         if self.is_zero:
@@ -192,17 +168,3 @@ def as_poly(value) -> Poly:
     if isinstance(value, Iterable) and not isinstance(value, str):
         return Poly(value)
     return Poly.const(value)
-
-
-def exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ValueError(f"{a!r} is not divisible by {b!r}")
-    return q
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()

@@ -24,53 +24,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .cyclegraph import EdgeLabel
 from .invariants import ORIENTABLE, OrbitInvariants, require_valid
-from .polyq import Poly, as_poly, exact_div, poly_gcd
+from .polyq import Poly
 
 
 class PoincareSeries:
-    """A reduced rational function p(x)/q(x) representing a power series
-    ``sum b_k x^k`` with nonnegative integer coefficients.
+    """A power series ``sum b_k x^k`` with nonnegative integer coefficients,
+    given as the rational function num(x)/den(x): a result that
+    :func:`equivariant_poincare` and :func:`orbit_space_poincare` build, with
+    ``num``, ``den``, ``expansion``, ``coefficient``, ``render`` and
+    equality, and no arithmetic.
 
-    Stored in the canonical form: numerator and denominator are coprime
-    integer-coefficient polynomials, jointly primitive, and the denominator
-    has positive constant term.  Structural equality therefore decides
-    equality of rational functions.  The nonnegative-integrality of the
-    expansion is checked whenever coefficients are extracted.
+    ``num`` and ``den`` are ascending tuples of ``int`` in the canonical
+    form, which the constructor does not check: coprime as polynomials,
+    jointly primitive (the gcd of all coefficients is 1), ``den[0] > 0``,
+    and no trailing zero.  Structural equality therefore decides equality
+    of rational functions.  The nonnegative-integrality of the expansion is
+    checked whenever coefficients are extracted.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, numerator, denominator=1):
-        num = as_poly(numerator)
-        den = as_poly(denominator)
-        if den.is_zero:
-            raise ZeroDivisionError("series denominator is zero")
-        if num.is_zero:
-            self.num, self.den = (), (1,)
-            return
-        g = poly_gcd(num, den)
-        num = exact_div(num, g)
-        den = exact_div(den, g)
-        if den.constant_term == 0:
-            raise ValueError("rational function has a pole at x = 0; not a power series")
-        scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        nums = [int(c * scale) for c in num.coeffs]
-        dens = [int(c * scale) for c in den.coeffs]
-        content = gcd(*(abs(c) for c in nums + dens))
-        sign = 1 if dens[0] > 0 else -1
-        self.num = tuple(c * sign // content for c in nums)
-        self.den = tuple(c * sign // content for c in dens)
-
-    @classmethod
-    def _reduced(cls, num: tuple[int, ...], den: tuple[int, ...]) -> "PoincareSeries":
-        """Store an integer pair already in the canonical form, unchecked."""
-        series = cls.__new__(cls)
-        series.num, series.den = num, den
-        return series
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...] = (1,)):
+        self.num, self.den = num, den
 
     @property
     def numerator(self) -> Poly:
@@ -125,31 +103,9 @@ class PoincareSeries:
             return out[k]
         return out[len(num) + (k - len(num)) % period] if period else 0
 
-    def __add__(self, other) -> "PoincareSeries":
-        other = _coerce_series(other)
-        if other is None:
-            return NotImplemented
-        return PoincareSeries(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "PoincareSeries":
-        other = _coerce_series(other)
-        if other is None:
-            return NotImplemented
-        return PoincareSeries(self.numerator * other.numerator,
-                              self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if isinstance(other, PoincareSeries):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Poly)):
-            return self == PoincareSeries(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -172,14 +128,6 @@ class PoincareSeries:
 
     def __repr__(self) -> str:
         return f"PoincareSeries({list(self.num)}, {list(self.den)})"
-
-
-def _coerce_series(value) -> PoincareSeries | None:
-    if isinstance(value, PoincareSeries):
-        return value
-    if isinstance(value, (int, Poly)):
-        return PoincareSeries(value)
-    return None
 
 
 @dataclass(frozen=True)
@@ -210,7 +158,7 @@ def orbit_space_poincare(inv: OrbitInvariants) -> PoincareSeries:
     circles.
     """
     require_valid(inv, "orbit_space_poincare")
-    return PoincareSeries._reduced(_orbit_surface_poly(inv), (1,))
+    return PoincareSeries(_orbit_surface_poly(inv))
 
 
 def _orbit_surface_poly(inv: OrbitInvariants) -> tuple[int, ...]:
@@ -241,7 +189,7 @@ def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
     shape = fixed_set_shape(inv)
     c, i = shape.circles, shape.intervals
     if not (c or i):
-        return PoincareSeries._reduced(poly, (1,))
+        return PoincareSeries(poly)
     p0, p1, p2 = poly + (0,) * (3 - len(poly))
     if i:
         num, den = [p0, p1, p2 - p0 + c + i, c - p1, -p2], (1, 0, -1)
@@ -249,7 +197,7 @@ def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
         num, den = [p0, p1 - p0, p2 - p1 + c, -p2], (1, -1)
     while not num[-1]:
         num.pop()
-    return PoincareSeries._reduced(tuple(num), den)
+    return PoincareSeries(tuple(num), den)
 
 
 def betti(inv: OrbitInvariants, k: int) -> int:

@@ -357,8 +357,13 @@ def serialize(inv: OrbitInvariants) -> str:
     sorting their ``(m, n)`` tuples, the order ``SeifertPair`` defines.  The
     graph segment is rendered once per ``CycleGraph`` instance
     (``canonical_text``) and reused, which is sound because graphs are
-    immutable."""
-    out = [f"{{b={inv.b};({inv.eps.value},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
+    immutable.  A field outside its type, such as ``eps=None``, is written
+    as its ``str``, so a datum that ``validate`` refuses still prints."""
+    eps = inv.eps
+    # ``_value_`` is the member's stored value; ``.value`` would add a
+    # Python-level property call per datum to the census stream.
+    eps = eps._value_ if eps.__class__ is Orientability else eps
+    out = [f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
     if inv.pairs:
         out.append(";" + ",".join(["(%s,%s)" % mn for mn in sorted(map(pair_mn, inv.pairs))]))
     if inv.graph:
@@ -392,7 +397,7 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
         return {
             "text": serialize(obj),
             "b": obj.b,
-            "eps": obj.eps.value,
+            "eps": obj.eps.value if obj.eps.__class__ is Orientability else obj.eps,
             "g": obj.g,
             "f": obj.f,
             "s": obj.s,

@@ -119,6 +119,18 @@ class TestCensusProperties:
         with pytest.raises(ValueError):
             EnumerationBounds(b_range=(1, 0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_g", True), ("max_f", False), ("max_m", 2.0), ("max_r", "1"),
+        ("b_range", (0.5, 2)), ("b_range", ("0", "1")), ("b_range", (0, True)),
+        ("b_range", 1), ("b_range", (0, 1, 2)), ("b_range", None),
+    ])
+    def test_non_integer_bounds_rejected(self, field, value):
+        """The census takes the integers ``validate`` takes: no ``bool``,
+        float or string, in ``b_range`` as in the counts; and ``b_range`` is
+        a pair."""
+        with pytest.raises(ValueError, match=field):
+            EnumerationBounds(**{field: value})
+
 
 def public_rebuild(inv):
     """``inv`` built again by the public constructor from plain values: ints,

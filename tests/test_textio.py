@@ -139,6 +139,17 @@ class TestSerialize:
         inv = OrbitInvariants(b=3, eps="n", g=1, f=0, s=0, t=0, pairs=[(5, 4)])
         assert serialize(inv) == "{b=3;(n,g=1,f=0,s=0,t=0);(5,4)}"
 
+    @pytest.mark.parametrize("eps", [None, 5, True])
+    def test_eps_outside_orientability_prints(self, eps):
+        """A datum that ``validate`` refuses for its eps still prints, with
+        eps written as its ``str`` and given raw to the JSON."""
+        inv = OrbitInvariants(b=0, eps=eps, g=0, f=0, s=0, t=0, pairs=[(3, 1)])
+        text = f"{{b=0;({eps},g=0,f=0,s=0,t=0);(3,1)}}"
+        assert serialize(inv) == str(inv) == text
+        doc = json.loads(emit_json(inv))
+        assert doc["text"] == text and doc["eps"] == eps
+        assert [v.condition for v in validate(inv).violations] == ["domain"]
+
 
 def with_graph(cycles):
     return OrbitInvariants(b=0, eps="o", g=0, f=0, s=0, t=0, graph=cycles)
