@@ -7,6 +7,10 @@ A manifold is handled entirely through its orbit invariants
 
 see :mod:`orbitinv.invariants` for the datum, :mod:`orbitinv.textio` for the
 notation, and the remaining modules for the operations on it.
+
+An integer argument (a degree, a bound, a power, a count) may be of any
+integral type, numpy's included; a ``bool`` or a non-integral value is a
+``TypeError`` naming the argument.
 """
 
 from .capping import CappingError, CappingReport, cap_off, orbit_euler_characteristic, verify_capping

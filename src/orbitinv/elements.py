@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
-from .invariants import ORIENTABLE, OrbitInvariants, require_valid
-from .polyq import Poly, Scalar as Coeff, _poly, as_poly, exact
+from .invariants import ORIENTABLE, OrbitInvariants, _as_int, require_valid
+from .polyq import Poly, Scalar as Coeff, _poly, _render_sum, as_poly, exact
 
 
 class RelationError(ValueError):
@@ -233,41 +232,23 @@ class CohomElement:
 
     def render(self) -> str:
         """Readable form, e.g. ``theta_1 - theta_2`` or ``u*delta_1 + u*theta_2``."""
-        parts: list[str] = []
-
-        def term(coeff: Coeff, symbol: str) -> None:
-            if coeff == 0:
-                return
-            mag = abs(coeff)
-            if not symbol:  # the constant class
-                body = str(mag)
-            else:
-                body = symbol if mag == 1 else f"{mag}*{symbol}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-
-        term(self.D, "")
-        for k, a in enumerate(self.A):
-            term(a, f"alpha_{k + 1}")
-        for k, b in enumerate(self.B):
-            term(b, f"beta_{k + 1}")
-        for j, c in enumerate(self.C_se):
-            term(c, f"theta_se_{j + 1}")
-        for i in range(self.ring.f):
-            for k, c in enumerate(self.p[i].coeffs):
-                if k == 0:
-                    continue  # constant already rendered through D
-                term(c, f"u*delta_{i + 1}" if k == 1 else f"u^{k}*delta_{i + 1}")
-            for k, c in enumerate(self.q[i].coeffs):
-                sym = f"theta_{i + 1}" if k == 0 else (
-                    f"u*theta_{i + 1}" if k == 1 else f"u^{k}*theta_{i + 1}")
-                term(c, sym)
-        return " ".join(parts) if parts else "0"
+        terms = [(self.D, "")]
+        terms += [(a, f"alpha_{k}") for k, a in enumerate(self.A, 1)]
+        terms += [(b, f"beta_{k}") for k, b in enumerate(self.B, 1)]
+        terms += [(c, f"theta_se_{j}") for j, c in enumerate(self.C_se, 1)]
+        for i, (pl, ql) in enumerate(zip(self.p, self.q), 1):
+            # the constant of p_i is D, already rendered
+            terms += [(c, f"{_u_power(k)}delta_{i}") for k, c in enumerate(pl.coeffs) if k]
+            terms += [(c, f"{_u_power(k)}theta_{i}") for k, c in enumerate(ql.coeffs)]
+        return _render_sum(terms, "*")
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _u_power(k: int) -> str:
+    """The factor u^k of a class's symbol, with its ``*``."""
+    return "" if k == 0 else "u*" if k == 1 else f"u^{k}*"
 
 
 def cup(a: CohomElement, b: CohomElement) -> CohomElement:
@@ -297,9 +278,7 @@ def module_action(power: int, x: CohomElement) -> CohomElement:
     with (sum_i u delta_i)^power: for power >= 1 the surface part vanishes
     and every p_i, q_i is shifted up by u^power.  A ``power`` that is not an
     integer, a ``bool`` included, is a ``TypeError``."""
-    if power.__class__ is not int and (isinstance(power, bool)
-                                       or not isinstance(power, Integral)):
-        raise TypeError(f"power must be an integer, got {power!r}")
+    power = _as_int(power, "power")
     if power < 0:
         raise ValueError("power must be nonnegative")
     if power == 0:

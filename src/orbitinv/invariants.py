@@ -90,8 +90,7 @@ def _as_pair(value: PairLike) -> SeifertPair:
     if isinstance(value, SeifertPair):
         return value
     try:
-        m, n = (int(v) if isinstance(v, Integral) and not isinstance(v, bool) else v
-                for v in value)
+        m, n = (int(v) if _is_integral(v) else v for v in value)
     except (TypeError, ValueError):
         raise ValueError(f"a pair is two entries (m, n), got {value!r}") from None
     return SeifertPair(m, n)
@@ -130,6 +129,10 @@ class OrbitInvariants:
     graph: CycleGraph = EMPTY_GRAPH
 
     def __post_init__(self) -> None:
+        for name in ("b", "g", "f", "s", "t"):
+            value = getattr(self, name)
+            if value.__class__ is not int and _is_integral(value):
+                object.__setattr__(self, name, int(value))
         if isinstance(self.eps, str):
             object.__setattr__(self, "eps", Orientability.from_letter(self.eps))
         pairs = _iterate(self.pairs, "pairs is an iterable of (m, n) pairs")
@@ -196,6 +199,21 @@ class InvariantError(ValueError):
 def _is_int(value) -> bool:
     """An exact integer field value; ``bool`` is an ``int`` but not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_integral(value) -> bool:
+    """An integer of any integral type, numpy's included, other than ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _as_int(value, name: str) -> int:
+    """An integer argument as an ``int``; a ``bool`` or a non-integral value
+    is a ``TypeError`` naming the argument."""
+    if value.__class__ is int:
+        return value
+    if not _is_integral(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 _ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
@@ -455,4 +473,5 @@ def classify_2d(boundary: int, fixed: int, special: int) -> Surface2d | None:
 
     Returns ``None`` for every other triple: no such manifold exists.
     """
-    return _SURFACES.get((boundary, fixed, special))
+    key = (_as_int(boundary, "boundary"), _as_int(fixed, "fixed"), _as_int(special, "special"))
+    return _SURFACES.get(key)

@@ -117,28 +117,30 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def render(self, var: str = "x") -> str:
+    def render(self) -> str:
         """Human form like ``1 - x^2`` or ``2x``; the zero polynomial is ``0``."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_sum((c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+                           for k, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
+
+
+def _render_sum(terms: Iterable[tuple[Scalar, str]], times: str = "") -> str:
+    """``1 - x^2`` or ``2 + 3*u*delta_1`` from ``(coefficient, symbol)`` terms,
+    ``""`` the constant's symbol: zero terms are skipped, a unit magnitude is
+    dropped before a symbol, and the empty sum is ``0``."""
+    parts: list[str] = []
+    for coeff, symbol in terms:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        body = (symbol if mag == 1 else f"{mag}{times}{symbol}") if symbol else str(mag)
+        if parts:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        else:
+            parts.append(body if coeff > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 def _poly(cs: list[Scalar]) -> Poly:

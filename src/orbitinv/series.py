@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclegraph import EdgeLabel
-from .invariants import ORIENTABLE, OrbitInvariants, require_valid
+from .invariants import ORIENTABLE, OrbitInvariants, _as_int, require_valid
 from .polyq import Poly
 
 
@@ -68,7 +68,7 @@ class PoincareSeries:
         out: list[int] = []
         num, den = self.num, self.den
         d0 = den[0]
-        for k in range(upto + 1):
+        for k in range(_as_int(upto, "upto") + 1):
             acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]
@@ -88,6 +88,7 @@ class PoincareSeries:
         checks, every value: the time does not grow with k.  Any other
         denominator runs long division up to k.
         """
+        k = _as_int(k, "k")
         if k < 0:
             raise ValueError("degree must be nonnegative")
         num, den = self.num, self.den
@@ -111,15 +112,15 @@ class PoincareSeries:
     def __hash__(self) -> int:
         return hash(("PoincareSeries", self.num, self.den))
 
-    def render(self, var: str = "x") -> str:
-        num = self.numerator.render(var)
+    def render(self) -> str:
+        num = self.numerator.render()
         if self.den == (1,):
             return num
-        return f"({num})/({self.denominator.render(var)})"
+        return f"({num})/({self.denominator.render()})"
 
-    def render_expansion(self, upto: int, var: str = "x") -> str:
+    def render_expansion(self, upto: int) -> str:
         """Prefix of the power series, e.g. ``1 + 2x + x^2 + x^3 + ...``."""
-        text = Poly(self.expansion(upto)).render(var)
+        text = Poly(self.expansion(upto)).render()
         finite = len(self.den) == 1 and self.numerator.degree <= upto
         return text if finite else f"{text} + ..."
 
@@ -202,6 +203,7 @@ def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
 
 def betti(inv: OrbitInvariants, k: int) -> int:
     """dim of the degree-k rational equivariant cohomology."""
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError("degree must be nonnegative")
     return equivariant_poincare(inv).coefficient(k)

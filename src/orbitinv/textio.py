@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import groupby
 from typing import Any
@@ -376,24 +376,23 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
     """Convert a report or value to JSON-ready primitives.
 
     Stable field names: rationals as {"num", "den"}; series as
-    {"numerator", "denominator", "expansion"}; validation reports as
-    {"ok", "violations"}.
+    {"numerator", "denominator", "expansion"}; the report records
+    ``ValidationReport``, ``Violation``, ``DerivedCounts`` and
+    ``FixedSetShape`` by their field names.  Library types are matched by
+    exact class, and any other object is a ``TypeError``.
     """
-    if isinstance(obj, Fraction):
+    cls = obj.__class__
+    if cls is Fraction:
         return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, PoincareSeries):
+    if cls is PoincareSeries:
         return {
             "numerator": list(obj.num),
             "denominator": list(obj.den),
             "expansion": obj.expansion(expansion_upto),
         }
-    if isinstance(obj, ValidationReport):
-        return {"ok": obj.ok, "violations": [to_jsonable(v) for v in obj.violations]}
-    if isinstance(obj, Violation):
-        return {"condition": obj.condition, "message": obj.message}
-    if isinstance(obj, Diagnostic):
+    if cls is Diagnostic:
         return {"start": obj.span.start, "end": obj.span.end, "message": obj.message}
-    if isinstance(obj, OrbitInvariants):
+    if cls is OrbitInvariants:
         return {
             "text": serialize(obj),
             "b": obj.b,
@@ -405,7 +404,7 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
             "pairs": list(map(list, sorted(map(pair_mn, obj.pairs)))),
             "graph": [list(map(LABEL_NAMES.__getitem__, cycle)) for cycle in obj.graph],
         }
-    if isinstance(obj, CanonicalForm):
+    if cls is CanonicalForm:
         return {
             "b": obj.b,
             "eps": obj.eps.value,
@@ -416,7 +415,7 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
             "pairs": [[p.m, p.n] for p in obj.pairs],
             "graph": [list(map(LABEL_NAMES.__getitem__, word)) for word in obj.graph_canon],
         }
-    if isinstance(obj, CappingReport):
+    if cls is CappingReport:
         return {
             "input": to_jsonable(obj.input),
             "output": to_jsonable(obj.output),
@@ -426,32 +425,21 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
                             for ci, pos in obj.rp_pairings],
             "notes": list(obj.notes),
         }
-    if isinstance(obj, FormalityResult):
+    if cls is FormalityResult:
         return {
             "formal": obj.formal,
             "reason": obj.reason,
             "generators": [{"degree": gen.degree, "label": gen.label}
                            for gen in obj.generators],
         }
-    if isinstance(obj, DerivedCounts):
-        return {
-            "f0_minus_f": obj.f0_minus_f,
-            "s0_minus_s": obj.s0_minus_s,
-            "s_p": obj.s_p,
-            "k": obj.k,
-            "r_p": obj.r_p,
-            "v_f": obj.v_f,
-            "v_s": obj.v_s,
-            "boundary_circles": obj.boundary_circles,
-        }
-    if isinstance(obj, FixedSetShape):
-        return {"circles": obj.circles, "intervals": obj.intervals}
     if isinstance(obj, dict):
         return {k: to_jsonable(v, expansion_upto) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v, expansion_upto) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
+    if cls in (ValidationReport, Violation, DerivedCounts, FixedSetShape):
+        return {f.name: to_jsonable(getattr(obj, f.name), expansion_upto) for f in fields(obj)}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

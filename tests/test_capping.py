@@ -38,11 +38,8 @@ from orbitinv import (
 from orbitinv.capping import _cap_cycle
 
 from capping_reference import reference_cap_cycle
+from datum_helper import datum
 from test_cyclegraph import forced_cycle
-
-
-def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
-    return OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s, t=t, pairs=pairs, graph=graph)
 
 
 WITH_BOUNDARY_BOUNDS = EnumerationBounds(max_g=2, max_f=1, max_s=1, max_t=2,

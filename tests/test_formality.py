@@ -7,7 +7,6 @@ import pytest
 
 from orbitinv import (
     InvariantError,
-    OrbitInvariants,
     Poly,
     betti,
     cup,
@@ -17,11 +16,8 @@ from orbitinv import (
     is_formal,
 )
 
+from datum_helper import datum
 from series_reference import reduced
-
-
-def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
-    return OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s, t=t, pairs=pairs, graph=graph)
 
 
 ONE_MINUS_X2 = Poly((1, 0, -1))

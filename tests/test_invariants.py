@@ -20,15 +20,15 @@ from orbitinv import (
     cap_off,
     classify_2d,
     derived_counts,
+    emit_json,
     enumerate_invariants,
     equivalent,
     normalize,
+    serialize,
     validate,
 )
 
-
-def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
-    return OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s, t=t, pairs=pairs, graph=graph)
+from datum_helper import datum
 
 
 class TestValidate:
@@ -110,11 +110,31 @@ class TestValidate:
             cap_off(datum(eps=eps, t=1))
 
     @pytest.mark.parametrize("field", ["b", "g", "f", "s", "t"])
-    @pytest.mark.parametrize("value", [True, False, "1", 1.0])
+    @pytest.mark.parametrize("value", [True, False, "1", 1.0, Fraction(1)])
     def test_non_integer_fields_reported_not_raised(self, field, value):
-        report = validate(datum(eps="n", g=1).replace(**{field: value}))
+        inv = datum(eps="n", g=1).replace(**{field: value})
+        assert getattr(inv, field) is value
+        report = validate(inv)
         assert not report.ok
         assert "domain" in [v.condition for v in report.violations]
+
+
+class TestIntegralCounts:
+    """Integral counts of any integer type are stored as ``int``."""
+
+    def test_numpy_counts_give_the_int_datum(self):
+        inv = OrbitInvariants(b=np.int64(0), eps="o", g=np.int64(1), f=0, s=0, t=0)
+        ref = datum(g=1)
+        assert validate(inv).ok
+        assert inv == ref and hash(inv) == hash(ref)
+        assert serialize(inv) == serialize(ref) and emit_json(inv) == emit_json(ref)
+
+    @pytest.mark.parametrize("field", ["b", "g", "f", "s", "t"])
+    @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), np.int32(1)])
+    def test_each_count_becomes_int(self, field, value):
+        inv = datum(eps="n", g=1).replace(**{field: value})
+        assert type(getattr(inv, field)) is int
+        assert inv == datum(eps="n", g=1).replace(**{field: 1})
 
 
 def integral(value) -> bool:
@@ -358,3 +378,16 @@ class TestClassify2d:
     def test_injective_on_defined_inputs(self):
         values = [classify_2d(*key) for key in self.TABLE]
         assert len(set(values)) == len(self.TABLE) == 7
+
+    @pytest.mark.parametrize("value", [True, False, "1", 1.0, Fraction(1), None, [1]])
+    @pytest.mark.parametrize("position, name", enumerate(["boundary", "fixed", "special"]))
+    def test_non_integer_count_refused_by_name(self, position, name, value):
+        args = [1, 1, 0]
+        args[position] = value
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            classify_2d(*args)
+
+    def test_numpy_and_negative_counts(self):
+        assert classify_2d(np.int64(1), np.int8(1), np.uint8(0)) is Surface2d.DISK
+        assert classify_2d(-1, 0, 0) is None

@@ -3,15 +3,16 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import orbitinv.series
 from orbitinv import (
     EnumerationBounds,
-    OrbitInvariants,
     PoincareSeries,
     Poly,
     betti,
@@ -25,11 +26,8 @@ from orbitinv import (
     validate,
 )
 
+from datum_helper import datum
 from series_reference import add, mul, poly_gcd, reduced
-
-
-def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
-    return OrbitInvariants(b=b, eps=eps, g=g, f=f, s=s, t=t, pairs=pairs, graph=graph)
 
 
 def expand_oracle(num, den, upto):
@@ -177,6 +175,8 @@ class TestBetti:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             betti(datum(f=1), -1)
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            equivariant_poincare(datum(f=1)).coefficient(-1)
 
     def test_closed_fixed_points_match_shape(self):
         bounds = EnumerationBounds(max_g=2, max_f=3, max_s=2)
@@ -189,6 +189,31 @@ class TestBetti:
             assert betti(inv, 3) == shape.circles
             assert betti(inv, 2) - betti(inv, 3) == shape.intervals == 0
         assert checked > 20
+
+
+NOT_INTEGERS = [True, False, "3", 1.0, 1.5, Fraction(1), None, [1]]
+
+
+class TestIntegerArguments:
+    """A degree or bound that is not an integer, a ``bool`` included, is a
+    ``TypeError`` naming the argument; numpy integers count as integers."""
+
+    INV = datum(f=1)
+    SERIES = equivariant_poincare(INV)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("call, name", [
+        ("betti", "k"), ("coefficient", "k"), ("expansion", "upto")])
+    def test_non_integer_refused_by_name(self, call, name, value):
+        fn = (lambda k: betti(self.INV, k)) if call == "betti" else getattr(self.SERIES, call)
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            fn(value)
+
+    def test_numpy_integers_accepted(self):
+        assert betti(self.INV, np.int64(3)) == betti(self.INV, 3) == 1
+        assert self.SERIES.coefficient(np.int32(5)) == self.SERIES.coefficient(5)
+        assert self.SERIES.expansion(np.uint8(4)) == self.SERIES.expansion(4)
 
 
 def general_reduction(inv):
