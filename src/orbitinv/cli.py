@@ -4,12 +4,15 @@ One subcommand per library operation, reading a datum from a positional
 argument (or ``@file`` to read a file).  Exit codes: 0 on success, 1 when
 the input fails to parse or validate (diagnostics on stderr), 2 on usage
 errors.  ``--json`` switches the output to the stable JSON forms of
-``textio``.
+``jsonio``.
 
 ``COMMANDS`` maps each subcommand to (run function, help text, argument
 specs added after ``--json``).  A run function returns the JSON value, the
 text (``None`` for no stdout) and the exit code, and ``main`` alone writes
 stdout; ``enumerate`` returns two iterators, streamed one line per datum.
+A run function imports the operation modules it calls, and ``main`` imports
+the JSON encoder only under ``--json``, so a process loads only what its
+subcommand runs.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .capping import cap_off
-from .census import EnumerationBounds, enumerate_invariants
-from .formality import euler_number, is_formal
 from .invariants import (
     OrbitInvariants,
     canonical_form,
@@ -31,8 +31,7 @@ from .invariants import (
     normalize,
     validate,
 )
-from .series import betti, equivariant_poincare
-from .textio import emit_json, parse, serialize, to_jsonable
+from .textio import parse, serialize
 
 
 def _read_datum(arg: str) -> OrbitInvariants:
@@ -53,7 +52,7 @@ def run_canon(args):
     inv = _read_datum(args.datum)
     form = canonical_form(inv)  # raises with the violations when inadmissible
     text = serialize(normalize(inv))
-    return {"canonical": text, "form": to_jsonable(form)}, text, 0
+    return {"canonical": text, "form": form}, text, 0
 
 
 def run_equiv(args):
@@ -62,6 +61,8 @@ def run_equiv(args):
 
 
 def run_cap(args):
+    from .capping import cap_off
+
     report = cap_off(_read_datum(args.datum))
     lines = [f"input:  {serialize(report.input)}", f"output: {serialize(report.output)}",
              f"chi: {report.chi_before} -> {report.chi_after}"]
@@ -70,6 +71,8 @@ def run_cap(args):
 
 
 def run_betti(args):
+    from .series import betti, equivariant_poincare
+
     inv = _read_datum(args.datum)
     values = ([betti(inv, args.degree)] if args.degree is not None
               else equivariant_poincare(inv).expansion(args.upto))
@@ -77,12 +80,16 @@ def run_betti(args):
 
 
 def run_poincare(args):
+    from .series import equivariant_poincare
+
     series = equivariant_poincare(_read_datum(args.datum))
     text = f"{series.render()}\n= {series.render_expansion(args.upto)}"
-    return to_jsonable(series, args.upto), text, 0
+    return series, text, 0  # ``main`` encodes the expansion to ``args.upto``
 
 
 def run_formal(args):
+    from .formality import is_formal
+
     result = is_formal(_read_datum(args.datum))
     head = f"formal ({result.reason})" if result.formal else f"not formal: {result.reason}"
     lines = [head, *(f"  deg {gen.degree}: {gen.label}" for gen in result.generators)]
@@ -90,6 +97,8 @@ def run_formal(args):
 
 
 def run_euler(args):
+    from .formality import euler_number
+
     value = euler_number(_read_datum(args.datum))
     return value, str(value), 0
 
@@ -100,7 +109,9 @@ def run_classify2d(args):
     return {"surface": name}, name or "no such manifold", 0 if surface else 1
 
 
-def _parse_bounds(items: list[str]) -> EnumerationBounds:
+def _parse_bounds(items: list[str]):
+    from .census import EnumerationBounds
+
     keys = [field.name for field in dataclasses.fields(EnumerationBounds)]
     fields = {}
     for item in items:
@@ -122,6 +133,8 @@ def _parse_bounds(items: list[str]) -> EnumerationBounds:
 
 
 def run_enumerate(args):
+    from .census import enumerate_invariants
+
     data = enumerate_invariants(_parse_bounds(args.bounds or []))
     return data, map(serialize, data), 0
 
@@ -184,7 +197,13 @@ def main(argv: list[str] | None = None) -> int:
         value, text, code = args.run(args)
         if not isinstance(value, Iterator):  # only enumerate streams
             value, text = [value], [text]
-        for line in map(emit_json, value) if args.json else text:
+        if args.json:
+            from .jsonio import emit_json
+
+            # poincare's --upto is its expansion's length; others have no series
+            upto = getattr(args, "upto", 10)
+            text = (emit_json(item, upto) for item in value)
+        for line in text:
             if line is not None:
                 print(line)
         sys.stdout.flush()

@@ -216,6 +216,12 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _require_datum(value, name: str) -> None:
+    """A ``TypeError`` naming the argument unless ``value`` is a datum."""
+    if not isinstance(value, OrbitInvariants):
+        raise TypeError(f"{name} must be an OrbitInvariants, got {value!r}")
+
+
 _ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
 
 
@@ -243,7 +249,9 @@ def _trusted(b: int, eps: Orientability, g: int, f: int, s: int, t: int,
 
 def validate(inv: OrbitInvariants) -> ValidationReport:
     """Total admissibility check; violations are returned, never raised.
-    Always runs in full, and records an ok verdict on ``inv``."""
+    Always runs in full, and records an ok verdict on ``inv``.  Anything
+    but an ``OrbitInvariants`` is a ``TypeError``."""
+    _require_datum(inv, "inv")
     violations: list[Violation] = []
 
     def bad(condition: str, message: str) -> None:
@@ -308,8 +316,11 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
 def require_valid(inv: OrbitInvariants, context: str = "") -> OrbitInvariants:
     """The one gate of every operation: ``inv`` passes at once if an ok
     verdict is recorded on it, else it is validated."""
-    if _ADMISSIBLE in inv.__dict__:
-        return inv
+    try:
+        if _ADMISSIBLE in inv.__dict__:
+            return inv
+    except AttributeError:
+        pass  # not a datum: ``validate`` raises the TypeError
     report = validate(inv)
     if not report.ok:
         raise InvariantError(report, context)
@@ -326,9 +337,10 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
     when some m_i = 2.  Anything else (a pair with gcd > 1, a bad graph, and
     so on, including non-integer field values) is not normalizable and is
     returned unchanged so that ``validate`` still reports it.  Idempotent and
-    total, and returns ``inv`` itself when no reduction changes a value, as
-    for every admissible datum.
+    total on data (anything else is a ``TypeError``), and returns ``inv``
+    itself when no reduction changes a value, as for every admissible datum.
     """
+    _require_datum(inv, "inv")
     changed = False
     pairs = inv.pairs
     if inv.eps is NONORIENTABLE:
@@ -372,6 +384,7 @@ def derived_counts(inv: OrbitInvariants) -> DerivedCounts:
     rule, and the tests check them independently.  Raises ``ValueError``
     when the graph has a corner of undetermined type.
     """
+    _require_datum(inv, "inv")
     graph = inv.graph
     v_f = v_s = 0
     for cycle in graph.cycles:
@@ -428,6 +441,8 @@ def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
 
 def equivalent(a: OrbitInvariants, b: OrbitInvariants) -> bool:
     """Decide equivariant diffeomorphism of the two described manifolds."""
+    _require_datum(a, "a")
+    _require_datum(b, "b")
     return canonical_form(a) == canonical_form(b)
 
 

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Union
 
 Scalar = Union[int, Fraction]
 
 
 def exact(c: Scalar) -> Scalar:
-    """An ``int`` stays an ``int``, any other rational becomes a ``Fraction``,
-    and anything inexact (``float``, ``Decimal``, ``str``) is a ``TypeError``."""
+    """An integral scalar (``int``, ``bool``, numpy's integers) becomes an
+    ``int``, any other rational a ``Fraction``, and anything inexact
+    (``float``, ``Decimal``, ``str``) is a ``TypeError``."""
     if type(c) is int or type(c) is Fraction:
         return c
     if not isinstance(c, Rational):
         raise TypeError(f"{c!r} is not an exact rational scalar (int or Fraction)")
-    return int(c) if isinstance(c, int) else Fraction(c)
+    return int(c) if isinstance(c, Integral) else Fraction(c)
 
 
 class Poly:

@@ -61,14 +61,17 @@ class PoincareSeries:
     def expansion(self, upto: int) -> list[int]:
         """Coefficients b_0 .. b_upto by exact integer long division.
 
-        Raises ``ValueError`` if any coefficient in the requested range fails
-        to be a nonnegative integer, which would mean the rational function
-        is not a Poincare series at all.
+        Raises ``ValueError`` for a negative ``upto``, and if any coefficient
+        in the requested range fails to be a nonnegative integer, which would
+        mean the rational function is not a Poincare series at all.
         """
+        upto = _as_int(upto, "upto")
+        if upto < 0:
+            raise ValueError(f"upto must be nonnegative, got {upto}")
         out: list[int] = []
         num, den = self.num, self.den
         d0 = den[0]
-        for k in range(_as_int(upto, "upto") + 1):
+        for k in range(upto + 1):
             acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]

@@ -1,4 +1,4 @@
-"""Parsing and serialization of the invariant notation, and JSON reports.
+"""Parsing and serialization of the invariant notation.
 
 The wire format is the brace notation
 
@@ -19,35 +19,18 @@ tuples, and the parser reads the token list by index.  Whitespace is what
 names are runs of ``str.isalpha`` letters.
 
 Errors come back as diagnostics carrying byte spans into the input, and the
-parser recovers where it can so one run may report several problems.  JSON
-output for every report type goes through :func:`emit_json`; the field names
-are part of the public contract.
+parser recovers where it can so one run may report several problems.  The
+JSON forms of data and reports live in :mod:`orbitinv.jsonio`.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, fields
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import groupby
-from typing import Any
 
-from .capping import CappingReport
-from .cyclegraph import LABEL_NAMES, CycleGraph, EdgeLabel
-from .formality import FormalityResult
-from .invariants import (
-    CanonicalForm,
-    DerivedCounts,
-    OrbitInvariants,
-    Orientability,
-    SeifertPair,
-    ValidationReport,
-    Violation,
-    _trusted,
-    pair_mn,
-)
-from .series import FixedSetShape, PoincareSeries
+from .cyclegraph import CycleGraph, EdgeLabel
+from .invariants import OrbitInvariants, Orientability, SeifertPair, _trusted, pair_mn
 
 
 @dataclass(frozen=True)
@@ -370,78 +353,3 @@ def serialize(inv: OrbitInvariants) -> str:
         out.append(";G=[" + inv.graph.canonical_text + "]")
     out.append("}")
     return "".join(out)
-
-
-def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
-    """Convert a report or value to JSON-ready primitives.
-
-    Stable field names: rationals as {"num", "den"}; series as
-    {"numerator", "denominator", "expansion"}; the report records
-    ``ValidationReport``, ``Violation``, ``DerivedCounts`` and
-    ``FixedSetShape`` by their field names.  Library types are matched by
-    exact class, and any other object is a ``TypeError``.
-    """
-    cls = obj.__class__
-    if cls is Fraction:
-        return {"num": obj.numerator, "den": obj.denominator}
-    if cls is PoincareSeries:
-        return {
-            "numerator": list(obj.num),
-            "denominator": list(obj.den),
-            "expansion": obj.expansion(expansion_upto),
-        }
-    if cls is Diagnostic:
-        return {"start": obj.span.start, "end": obj.span.end, "message": obj.message}
-    if cls is OrbitInvariants:
-        return {
-            "text": serialize(obj),
-            "b": obj.b,
-            "eps": obj.eps.value if obj.eps.__class__ is Orientability else obj.eps,
-            "g": obj.g,
-            "f": obj.f,
-            "s": obj.s,
-            "t": obj.t,
-            "pairs": list(map(list, sorted(map(pair_mn, obj.pairs)))),
-            "graph": [list(map(LABEL_NAMES.__getitem__, cycle)) for cycle in obj.graph],
-        }
-    if cls is CanonicalForm:
-        return {
-            "b": obj.b,
-            "eps": obj.eps.value,
-            "g": obj.g,
-            "f": obj.f,
-            "s": obj.s,
-            "t": obj.t,
-            "pairs": [[p.m, p.n] for p in obj.pairs],
-            "graph": [list(map(LABEL_NAMES.__getitem__, word)) for word in obj.graph_canon],
-        }
-    if cls is CappingReport:
-        return {
-            "input": to_jsonable(obj.input),
-            "output": to_jsonable(obj.output),
-            "chi_before": obj.chi_before,
-            "chi_after": obj.chi_after,
-            "rp_pairings": [{"cycle": ci, "positions": list(pos)}
-                            for ci, pos in obj.rp_pairings],
-            "notes": list(obj.notes),
-        }
-    if cls is FormalityResult:
-        return {
-            "formal": obj.formal,
-            "reason": obj.reason,
-            "generators": [{"degree": gen.degree, "label": gen.label}
-                           for gen in obj.generators],
-        }
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v, expansion_upto) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v, expansion_upto) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if cls in (ValidationReport, Violation, DerivedCounts, FixedSetShape):
-        return {f.name: to_jsonable(getattr(obj, f.name), expansion_upto) for f in fields(obj)}
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
-
-
-def emit_json(obj: Any, expansion_upto: int = 10) -> str:
-    return json.dumps(to_jsonable(obj, expansion_upto))

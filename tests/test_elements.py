@@ -337,6 +337,16 @@ class TestExactScalars:
         scalars = [x.D, *x.C, *(c for pl in x.p + x.q for c in pl.coeffs)]
         assert all(type(c) is int for c in scalars)
 
+    def test_numpy_integers_become_int(self):
+        assert orbitinv.polyq.exact(np.int64(3)) == 3
+        assert type(orbitinv.polyq.exact(np.int64(3))) is int
+        coeffs = Poly((np.int64(1), np.int8(2))).coeffs
+        assert coeffs == (1, 2)
+        assert [type(c) for c in coeffs] == [int, int]
+        x = ring_for(f=2).from_parts(D=np.int64(2), p=(2, 2))
+        assert x == ring_for(f=2).from_parts(D=2, p=(2, 2))
+        assert type(x.D) is int
+
     def test_arithmetic_results_match_public_construction(self, monkeypatch):
         """Ring operations build their results without mapping ``exact``
         again; routing them through the public ``Poly(...)`` changes no

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import orbitinv
 from orbitinv import (
     CycleGraph,
     EnumerationBounds,
@@ -391,3 +392,41 @@ class TestClassify2d:
     def test_numpy_and_negative_counts(self):
         assert classify_2d(np.int64(1), np.int8(1), np.uint8(0)) is Surface2d.DISK
         assert classify_2d(-1, 0, 0) is None
+
+
+class TestNonDatumArguments:
+    """Every entry point that takes a datum refuses anything else with a
+    ``TypeError`` naming the argument."""
+
+    ENTRY_POINTS = {
+        "validate": validate,
+        "normalize": normalize,
+        "canonical_form": canonical_form,
+        "derived_counts": derived_counts,
+        "cap_off": cap_off,
+        "orbit_euler_characteristic": orbitinv.orbit_euler_characteristic,
+        "EquivariantCohomology": orbitinv.EquivariantCohomology,
+        "is_formal": orbitinv.is_formal,
+        "euler_number": orbitinv.euler_number,
+        "fixed_set_shape": orbitinv.fixed_set_shape,
+        "orbit_space_poincare": orbitinv.orbit_space_poincare,
+        "equivariant_poincare": orbitinv.equivariant_poincare,
+        "betti": lambda inv: orbitinv.betti(inv, 1),
+    }
+    BAD = ["x", None, 3, (0, "o", 0, 0, 0, 0), object()]
+    BAD_IDS = ["str", "None", "int", "tuple", "object"]
+
+    @pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_refused_by_name(self, entry, bad):
+        message = f"inv must be an OrbitInvariants, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            self.ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+    def test_equivalent_names_either_side(self, bad):
+        good = datum(f=1)
+        for name, args in (("a", (bad, good)), ("b", (good, bad))):
+            message = f"{name} must be an OrbitInvariants, got {bad!r}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                equivalent(*args)

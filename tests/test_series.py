@@ -79,8 +79,14 @@ class TestPoincareSeries:
         assert str(err.value) == ("coefficient of x^0 is 1/2; "
                                   "not a nonnegative-integer power series")
 
-    def test_negative_bound_expands_to_nothing(self):
-        assert PoincareSeries((1,), (1, -1)).expansion(-1) == []
+    def test_negative_bound_is_a_value_error(self):
+        series = PoincareSeries((1,), (1, -1))
+        for upto in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match="upto must be nonnegative"):
+                series.expansion(upto)
+        with pytest.raises(ValueError, match="upto must be nonnegative"):
+            series.render_expansion(-1)
+        assert series.expansion(0) == [1]
 
     def test_equality_is_canonical(self):
         a = reduced((2, 0, 0, 2), (2, 0, -2))
