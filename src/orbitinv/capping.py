@@ -44,6 +44,17 @@ class CappingError(ValueError):
     pass
 
 
+class _Notes(tuple):
+    """The notes of a report :func:`cap_off` builds.
+
+    Invariant: every character of every note is printable ASCII other than
+    ``"`` and ``\\``, since a note is made only of fixed ASCII text, edge
+    label names and ``int``s; so ``jsonio`` writes them without escaping.
+    Equality, hashing, ``repr``, pickle and copy are the tuple's."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class CappingReport:
     """Input and output data plus the bookkeeping of one capping run.
@@ -54,6 +65,11 @@ class CappingReport:
     characteristics and always satisfy
 
         chi_after = chi_before + t - r_p/2.
+
+    ``notes`` is a ``tuple``; the one :func:`cap_off` returns is a private
+    subclass that marks its text as needing no JSON escapes, and a report
+    built or ``replace``d with any other sequence of notes is encoded the
+    general way.
     """
 
     input: OrbitInvariants
@@ -139,7 +155,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
         chi_before=chi_before,
         chi_after=chi_before + inv.t - len(pairings),
         rp_pairings=tuple(pairings),
-        notes=tuple(notes),
+        notes=_Notes(notes),
     )
 
 

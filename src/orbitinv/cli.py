@@ -7,11 +7,13 @@ errors.  ``--json`` switches the output to the stable JSON forms of
 ``jsonio``.
 
 ``COMMANDS`` maps each subcommand to (run function, help text, argument
-specs added after ``--json``).  A run function returns the JSON value, the
-text (``None`` for no stdout) and the exit code, and ``main`` alone writes
-stdout; ``enumerate`` returns two iterators, streamed one line per datum.
-A run function imports the operation modules it calls, and ``main`` imports
-the JSON encoder only under ``--json``, so a process loads only what its
+specs added after ``--json``).  A run function returns the JSON value, a
+function rendering that value as text (``None`` for no stdout) and the exit
+code.  ``main`` alone writes stdout: under ``--json`` it encodes the value
+and never calls the renderer, so no text is built only to be thrown away;
+``enumerate``'s value is an iterator, streamed one line per datum.  A run
+function imports the operation modules it calls, and ``main`` imports the
+JSON encoder only under ``--json``, so a process loads only what its
 subcommand runs.
 """
 
@@ -22,6 +24,7 @@ import dataclasses
 import os
 import sys
 from collections.abc import Iterator
+from functools import partial
 
 from .invariants import (
     OrbitInvariants,
@@ -45,29 +48,33 @@ def run_validate(args):
     report = validate(_read_datum(args.datum))
     for violation in report.violations:
         print(violation, file=sys.stderr)
-    return report, "ok" if report.ok else None, 0 if report.ok else 1
+    return report, lambda r: "ok" if r.ok else None, 0 if report.ok else 1
 
 
 def run_canon(args):
     inv = _read_datum(args.datum)
     form = canonical_form(inv)  # raises with the violations when inadmissible
     text = serialize(normalize(inv))
-    return {"canonical": text, "form": form}, text, 0
+    return {"canonical": text, "form": form}, lambda v: v["canonical"], 0
 
 
 def run_equiv(args):
     answer = equivalent(_read_datum(args.left), _read_datum(args.right))
-    return {"equivalent": answer}, "equivalent" if answer else "not equivalent", 0
+    return ({"equivalent": answer},
+            lambda v: "equivalent" if v["equivalent"] else "not equivalent", 0)
 
 
 def run_cap(args):
     from .capping import cap_off
 
-    report = cap_off(_read_datum(args.datum))
+    return cap_off(_read_datum(args.datum)), _render_cap, 0
+
+
+def _render_cap(report) -> str:
     lines = [f"input:  {serialize(report.input)}", f"output: {serialize(report.output)}",
              f"chi: {report.chi_before} -> {report.chi_after}"]
     lines += (f"  {note}" for note in report.notes)
-    return report, "\n".join(lines), 0
+    return "\n".join(lines)
 
 
 def run_betti(args):
@@ -76,37 +83,39 @@ def run_betti(args):
     inv = _read_datum(args.datum)
     values = ([betti(inv, args.degree)] if args.degree is not None
               else equivariant_poincare(inv).expansion(args.upto))
-    return {"betti": values}, " ".join(map(str, values)), 0
+    return {"betti": values}, lambda v: " ".join(map(str, v["betti"])), 0
 
 
 def run_poincare(args):
     from .series import equivariant_poincare
 
     series = equivariant_poincare(_read_datum(args.datum))
-    text = f"{series.render()}\n= {series.render_expansion(args.upto)}"
-    return series, text, 0  # ``main`` encodes the expansion to ``args.upto``
+    # ``main`` encodes the expansion to ``args.upto`` too
+    return series, lambda s: f"{s.render()}\n= {s.render_expansion(args.upto)}", 0
 
 
 def run_formal(args):
     from .formality import is_formal
 
-    result = is_formal(_read_datum(args.datum))
+    return is_formal(_read_datum(args.datum)), _render_formal, 0
+
+
+def _render_formal(result) -> str:
     head = f"formal ({result.reason})" if result.formal else f"not formal: {result.reason}"
     lines = [head, *(f"  deg {gen.degree}: {gen.label}" for gen in result.generators)]
-    return result, "\n".join(lines), 0
+    return "\n".join(lines)
 
 
 def run_euler(args):
     from .formality import euler_number
 
-    value = euler_number(_read_datum(args.datum))
-    return value, str(value), 0
+    return euler_number(_read_datum(args.datum)), str, 0
 
 
 def run_classify2d(args):
     surface = classify_2d(args.boundary, args.fixed, args.special)
     name = str(surface) if surface else None
-    return {"surface": name}, name or "no such manifold", 0 if surface else 1
+    return {"surface": name}, lambda v: v["surface"] or "no such manifold", 0 if surface else 1
 
 
 def _parse_bounds(items: list[str]):
@@ -135,8 +144,7 @@ def _parse_bounds(items: list[str]):
 def run_enumerate(args):
     from .census import enumerate_invariants
 
-    data = enumerate_invariants(_parse_bounds(args.bounds or []))
-    return data, map(serialize, data), 0
+    return enumerate_invariants(_parse_bounds(args.bounds or [])), serialize, 0
 
 
 def nonnegative_int(text: str) -> int:
@@ -194,16 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        value, text, code = args.run(args)
+        value, render, code = args.run(args)
         if not isinstance(value, Iterator):  # only enumerate streams
-            value, text = [value], [text]
+            value = [value]
         if args.json:
             from .jsonio import emit_json
 
             # poincare's --upto is its expansion's length; others have no series
             upto = getattr(args, "upto", 10)
-            text = (emit_json(item, upto) for item in value)
-        for line in text:
+            render = partial(emit_json, expansion_upto=upto)
+        for item in value:
+            line = render(item)
             if line is not None:
                 print(line)
         sys.stdout.flush()

@@ -4,6 +4,14 @@ Every report type goes through :func:`emit_json`; the field names are part
 of the public contract (README "JSON output").  This module imports every
 result type it encodes, so loading it loads the operations; the notation
 alone is :mod:`orbitinv.textio`.
+
+A capping report is the largest output: its notes repeat the rendered cycle
+word once per sewn RP pair.  The notes :func:`~orbitinv.capping.cap_off`
+builds need no escapes (``capping._Notes``), so :func:`emit_json` writes a
+report holding them with one ``json.dumps`` of the other fields and one
+``str.join`` that copies the notes once and never scans them.  Any other
+input, a report with plain-tuple notes or one nested in a container
+included, is ``json.dumps(to_jsonable(obj))``; both give the same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
-from .capping import CappingReport
+from .capping import CappingReport, _Notes
 from .cyclegraph import LABEL_NAMES
 from .formality import FormalityResult
 from .invariants import (
@@ -73,15 +81,9 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
             "graph": [list(map(LABEL_NAMES.__getitem__, word)) for word in obj.graph_canon],
         }
     if cls is CappingReport:
-        return {
-            "input": to_jsonable(obj.input),
-            "output": to_jsonable(obj.output),
-            "chi_before": obj.chi_before,
-            "chi_after": obj.chi_after,
-            "rp_pairings": [{"cycle": ci, "positions": list(pos)}
-                            for ci, pos in obj.rp_pairings],
-            "notes": list(obj.notes),
-        }
+        out = _capping_head(obj)
+        out["notes"] = list(obj.notes)
+        return out
     if cls is FormalityResult:
         return {
             "formal": obj.formal,
@@ -100,5 +102,29 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
+def _capping_head(report: CappingReport) -> dict:
+    """The JSON form of a capping report's fields before ``notes``."""
+    return {
+        "input": to_jsonable(report.input),
+        "output": to_jsonable(report.output),
+        "chi_before": report.chi_before,
+        "chi_after": report.chi_after,
+        "rp_pairings": [{"cycle": ci, "positions": list(pos)}
+                        for ci, pos in report.rp_pairings],
+    }
+
+
 def emit_json(obj: Any, expansion_upto: int = 10) -> str:
+    """``json.dumps(to_jsonable(obj, expansion_upto))``, byte for byte."""
+    if obj.__class__ is CappingReport and obj.notes.__class__ is _Notes:
+        head = json.dumps(_capping_head(obj))[:-1]  # drop the closing brace
+        notes = obj.notes
+        if not notes:
+            return head + ', "notes": []}'
+        # head, then each note quoted and comma-separated, in one join
+        parts = ['", "'] * (2 * len(notes) + 1)
+        parts[0] = head + ', "notes": ["'
+        parts[1::2] = notes
+        parts[-1] = '"]}'
+        return "".join(parts)
     return json.dumps(to_jsonable(obj, expansion_upto))

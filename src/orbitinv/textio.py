@@ -30,7 +30,14 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .cyclegraph import CycleGraph, EdgeLabel
-from .invariants import OrbitInvariants, Orientability, SeifertPair, _trusted, pair_mn
+from .invariants import (
+    OrbitInvariants,
+    Orientability,
+    SeifertPair,
+    _require_datum,
+    _trusted,
+    pair_mn,
+)
 
 
 @dataclass(frozen=True)
@@ -341,15 +348,22 @@ def serialize(inv: OrbitInvariants) -> str:
     graph segment is rendered once per ``CycleGraph`` instance
     (``canonical_text``) and reused, which is sound because graphs are
     immutable.  A field outside its type, such as ``eps=None``, is written
-    as its ``str``, so a datum that ``validate`` refuses still prints."""
-    eps = inv.eps
-    # ``_value_`` is the member's stored value; ``.value`` would add a
-    # Python-level property call per datum to the census stream.
-    eps = eps._value_ if eps.__class__ is Orientability else eps
-    out = [f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
-    if inv.pairs:
-        out.append(";" + ",".join(["(%s,%s)" % mn for mn in sorted(map(pair_mn, inv.pairs))]))
-    if inv.graph:
-        out.append(";G=[" + inv.graph.canonical_text + "]")
+    as its ``str``, so a datum that ``validate`` refuses still prints.
+    Anything but a datum is a ``TypeError`` naming ``inv``."""
+    try:
+        eps = inv.eps
+        # ``_value_`` is the member's stored value; ``.value`` would add a
+        # Python-level property call per datum to the census stream.
+        eps = eps._value_ if eps.__class__ is Orientability else eps
+        out = [f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
+        pairs, graph = inv.pairs, inv.graph
+    except AttributeError:
+        # checked only on failure, so a datum pays nothing for it
+        _require_datum(inv, "inv")
+        raise
+    if pairs:
+        out.append(";" + ",".join(["(%s,%s)" % mn for mn in sorted(map(pair_mn, pairs))]))
+    if graph:
+        out.append(";G=[" + graph.canonical_text + "]")
     out.append("}")
     return "".join(out)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import pickle
 import re
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 import orbitinv.invariants
 from orbitinv import (
     CappingError,
+    CappingReport,
     EdgeLabel,
     EnumerationBounds,
     EquivariantCohomology,
@@ -33,9 +35,10 @@ from orbitinv import (
     orbit_space_poincare,
     parse,
     serialize,
+    to_jsonable,
     verify_capping,
 )
-from orbitinv.capping import _cap_cycle
+from orbitinv.capping import _Notes, _cap_cycle
 
 from capping_reference import reference_cap_cycle
 from datum_helper import datum
@@ -45,6 +48,9 @@ from test_cyclegraph import forced_cycle
 WITH_BOUNDARY_BOUNDS = EnumerationBounds(max_g=2, max_f=1, max_s=1, max_t=2,
                                          max_r=1, max_m=3, max_cycles=2, max_cycle_len=6)
 CENSUS = list(enumerate_invariants(WITH_BOUNDARY_BOUNDS))
+# every edge label, torus boundaries, pairs and two sewn RP pairs
+CAP_INPUT = ("{b=0;(n,g=1,f=0,s=1,t=1);(3,1),(5,2);"
+             "G=[<F,SP>,<F,RP,SE,K,SE,RP,F,SP>,<SE,K,SE,K>,<F,RP,SE,RP>]}")
 # test_census's 8,910-datum box
 CENSUS_BOX = EnumerationBounds(max_g=1, max_f=1, max_s=1, max_t=1, max_r=2, max_m=4,
                                max_cycles=2, max_cycle_len=4, b_range=(-2, 2))
@@ -214,6 +220,14 @@ class TestCappingAcrossCensus:
             assert rep.output.g == inv.g
 
 
+def assert_written_as_json_dumps(report):
+    """The notes ``cap_off`` built are written without escaping by
+    ``emit_json``: the bytes must still be those of ``json.dumps``."""
+    assert report.notes.__class__ is _Notes
+    assert emit_json(report) == json.dumps(to_jsonable(report))
+    assert json.dumps(list(report.notes)) == '["' + '", "'.join(report.notes) + '"]'
+
+
 class TestClosedForm:
     @given(st.lists(st.sampled_from([EdgeLabel.F, EdgeLabel.SE]), min_size=1, max_size=32))
     def test_matches_union_find_surgery(self, interior):
@@ -228,11 +242,72 @@ class TestClosedForm:
         for inv in enumerate_invariants(CENSUS_BOX):
             if inv.closed:
                 continue
-            digest.update((emit_json(cap_off(inv)) + "\n").encode())
+            report = cap_off(inv)
+            assert_written_as_json_dumps(report)
+            digest.update((emit_json(report) + "\n").encode())
             count += 1
         assert count == 8528
         assert digest.hexdigest() == (
             "88083355a06496e8c38e45f12af59cf0feb1c797d2ffb5989f759a38bc65e202")
+
+
+class TestNotesJson:
+    """``emit_json`` writes the notes ``cap_off`` builds in one join, without
+    escaping them.  That is sound only while no note holds a character JSON
+    escapes, which nothing checks at run time; these tests hold it."""
+
+    @given(cycles=st.lists(st.lists(st.sampled_from([EdgeLabel.F, EdgeLabel.SE]),
+                                    min_size=1, max_size=32), min_size=1, max_size=3),
+           eps=st.sampled_from("on"), t=st.integers(0, 3),
+           pairs=st.lists(st.sampled_from([(2, 1), (3, 1), (3, 2), (5, 2), (7, 3)]),
+                          max_size=3))
+    def test_forced_cycles(self, cycles, eps, t, pairs):
+        inv = OrbitInvariants(b=0, eps=eps, g=1, f=0, s=0, t=t, pairs=pairs,
+                              graph=[forced_cycle(interior) for interior in cycles])
+        assert_written_as_json_dumps(cap_off(normalize(inv)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 250])
+    def test_repeated_rp_cycle(self, k):
+        word = ",".join(["F,RP,SE,RP"] * k)
+        report = cap_off(parse(f"{{b=0;(o,g=0,f=0,s=0,t=1);(3,1);G=[<{word}>]}}"))
+        assert len(report.rp_pairings) == k
+        assert_written_as_json_dumps(report)
+
+    @pytest.mark.parametrize("note", ['"', "\\", "\n", "\x7f", "\u00e9", "\U0001F600",
+                                      'say "\\u00e9"\t\u00e9\U0001F600'])
+    def test_other_notes_escaped_as_json_dumps(self, note):
+        report = cap_off(parse(CAP_INPUT))
+        others = [
+            dataclasses.replace(report, notes=(note,)),
+            dataclasses.replace(report, notes=(*report.notes, note)),
+            CappingReport(report.input, report.output, report.chi_before, report.chi_after,
+                          report.rp_pairings, [note, "x"]),
+        ]
+        for other in others:
+            assert emit_json(other) == json.dumps(to_jsonable(other))
+            assert json.loads(emit_json(other))["notes"] == list(other.notes)
+        nested = {"cap": others[0], "notes": others[0].notes}
+        assert emit_json(nested) == json.dumps(to_jsonable(nested))
+
+    def test_empty_notes(self):
+        report = cap_off(parse(CAP_INPUT))
+        for notes in (_Notes(), ()):
+            empty = dataclasses.replace(report, notes=notes)
+            assert emit_json(empty) == json.dumps(to_jsonable(empty))
+            assert emit_json(empty).endswith(', "notes": []}')
+
+    def test_notes_behave_as_the_tuple(self):
+        report = cap_off(parse(CAP_INPUT))
+        notes, plain = report.notes, tuple(report.notes)
+        assert isinstance(notes, tuple)
+        assert notes == plain and plain == notes and hash(notes) == hash(plain)
+        assert repr(notes) == repr(plain)
+        for clone in (pickle.loads(pickle.dumps(notes)), copy.copy(notes), copy.deepcopy(notes)):
+            assert clone == plain and hash(clone) == hash(plain) and repr(clone) == repr(plain)
+        for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                      copy.deepcopy(report), dataclasses.replace(report, notes=plain)):
+            assert clone == report and hash(clone) == hash(report)
+            assert emit_json(clone) == emit_json(report)
 
 
 class TestValidateOncePerEntryPoint:

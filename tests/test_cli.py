@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitinv import parse, validate, verify_capping, cap_off
+from orbitinv import cli, parse, validate, verify_capping, cap_off
 from orbitinv.cli import main
 
 
@@ -270,6 +270,30 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv, text, as_json", PINNED, ids=[p[0][0] for p in PINNED])
     def test_stdout_and_exit_code(self, capsys, argv, text, as_json):
         assert run(capsys, *argv) == (0, text, "")
+        assert run(capsys, *argv, "--json") == (0, as_json, "")
+
+    @pytest.mark.parametrize("argv, text, as_json", PINNED, ids=[p[0][0] for p in PINNED])
+    def test_json_builds_no_text(self, capsys, monkeypatch, argv, text, as_json):
+        # under --json, main encodes the value and never calls the renderer
+        run_command, help_text, specs = cli.COMMANDS[argv[0]]
+
+        def refuse(item):
+            raise AssertionError(f"rendered text for {argv[0]} --json")
+
+        def run_without_text(args):
+            value, _, code = run_command(args)
+            return value, refuse, code
+
+        monkeypatch.setitem(cli.COMMANDS, argv[0], (run_without_text, help_text, specs))
+        assert run(capsys, *argv, "--json") == (0, as_json, "")
+
+    def test_cap_json_serializes_no_datum_for_text(self, capsys, monkeypatch):
+        # the text report's two renderings of the data are not made under --json
+        def refuse(inv):
+            raise AssertionError("cap --json rendered the text report")
+
+        monkeypatch.setattr(cli, "serialize", refuse)
+        argv, _, as_json = next(p for p in PINNED if p[0][0] == "cap")
         assert run(capsys, *argv, "--json") == (0, as_json, "")
 
 

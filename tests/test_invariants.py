@@ -412,6 +412,7 @@ class TestNonDatumArguments:
         "orbit_space_poincare": orbitinv.orbit_space_poincare,
         "equivariant_poincare": orbitinv.equivariant_poincare,
         "betti": lambda inv: orbitinv.betti(inv, 1),
+        "serialize": serialize,
     }
     BAD = ["x", None, 3, (0, "o", 0, 0, 0, 0), object()]
     BAD_IDS = ["str", "None", "int", "tuple", "object"]
