@@ -30,6 +30,18 @@ from .invariants import ORIENTABLE, OrbitInvariants, _as_int, require_valid
 from .polyq import Poly
 
 
+def _period(den: tuple[int, ...]) -> int | None:
+    """p when ``den`` is ``1 - x^p``, 0 when it is 1, else None.  Over such a
+    denominator b_k = num[k] + b_{k-p}, so the values repeat with period p
+    from degree ``len(num)`` on (b_k = 0 over 1).  The library builds 1,
+    ``1 - x`` and ``1 - x^2``."""
+    if den == (1,):
+        return 0
+    if den[0] == 1 and den[-1] == -1 and not any(den[1:-1]):
+        return len(den) - 1
+    return None
+
+
 class PoincareSeries:
     """A power series ``sum b_k x^k`` with nonnegative integer coefficients,
     given as the rational function num(x)/den(x): a result that
@@ -59,7 +71,12 @@ class PoincareSeries:
         return Poly(self.den)
 
     def expansion(self, upto: int) -> list[int]:
-        """Coefficients b_0 .. b_upto by exact integer long division.
+        """Coefficients b_0 .. b_upto.
+
+        Over 1 and ``1 - x^p`` (``_period``) the recurrence
+        b_k = num[k] + b_{k-p} runs to degree ``len(num) + p - 1``, and past
+        it the last period repeats.  Any other denominator runs exact integer
+        long division.
 
         Raises ``ValueError`` for a negative ``upto``, and if any coefficient
         in the requested range fails to be a nonnegative integer, which would
@@ -68,6 +85,26 @@ class PoincareSeries:
         upto = _as_int(upto, "upto")
         if upto < 0:
             raise ValueError(f"upto must be nonnegative, got {upto}")
+        num = self.num
+        period = _period(self.den)
+        if period is None:
+            return self._long_division(upto)
+        top = min(upto, len(num) + period - 1)
+        out = list(num[:top + 1]) + [0] * (top + 1 - len(num))
+        if period:
+            for k in range(period, top + 1):
+                out[k] += out[k - period]
+        if out and min(out) < 0:
+            k = next(k for k, b in enumerate(out) if b < 0)
+            raise ValueError(f"coefficient of x^{k} is {out[k]}; "
+                             "not a nonnegative-integer power series")
+        # from degree len(num) on, the values repeat with the period (0 over 1)
+        block = out[len(num):] or [0]
+        reps, rest = divmod(upto - top, len(block))
+        return out + block * reps + block[:rest]
+
+    def _long_division(self, upto: int) -> list[int]:
+        """b_0 .. b_upto by exact integer long division, checking each."""
         out: list[int] = []
         num, den = self.num, self.den
         d0 = den[0]
@@ -85,22 +122,18 @@ class PoincareSeries:
     def coefficient(self, k: int) -> int:
         """b_k, raising ``ValueError`` as ``expansion(k)`` would.
 
-        Over the denominators ``equivariant_poincare`` builds, 1 and
-        ``1 - x^p``, b_k = b_{k-p} once k reaches ``len(num)`` (b_k = 0 over
-        1), so the expansion to one period past the numerator holds, and
-        checks, every value: the time does not grow with k.  Any other
-        denominator runs long division up to k.
+        Over 1 and ``1 - x^p`` (``_period``) the expansion to degree
+        ``len(num) + p - 1`` holds, and checks, every value, so the time
+        does not grow with k.  Any other denominator runs long division up
+        to k.
         """
         k = _as_int(k, "k")
         if k < 0:
             raise ValueError("degree must be nonnegative")
-        num, den = self.num, self.den
-        if den == (1,):
-            period = 0
-        elif den[0] == 1 and den[-1] == -1 and not any(den[1:-1]):
-            period = len(den) - 1
-        else:
-            return self.expansion(k)[k]
+        num = self.num
+        period = _period(self.den)
+        if period is None:
+            return self._long_division(k)[k]
         top = len(num) + period - 1
         out = self.expansion(min(k, top))
         if k <= top:

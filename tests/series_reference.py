@@ -2,7 +2,8 @@
 before every series was built in one of its closed forms, kept unchanged
 as the reference the tests compare the library's series against:
 polynomial division and gcd over Q, the reduction of any fraction to the
-canonical form, and the sum and product of two series."""
+canonical form, the sum and product of two series, and the expansion by
+long division over any denominator."""
 
 from __future__ import annotations
 
@@ -90,3 +91,21 @@ def mul(a, b) -> PoincareSeries:
     """The reduced product of two series, polynomials or integers."""
     a, b = _series(a), _series(b)
     return reduced(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def expansion(series: PoincareSeries, upto: int) -> list[int]:
+    """b_0 .. b_upto by exact integer long division, raising ``ValueError``
+    at the first coefficient that is not a nonnegative integer."""
+    out: list[int] = []
+    num, den = series.num, series.den
+    d0 = den[0]
+    for k in range(upto + 1):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        b, rem = divmod(acc, d0)
+        if rem or b < 0:
+            raise ValueError(f"coefficient of x^{k} is {Fraction(acc, d0)}; "
+                             "not a nonnegative-integer power series")
+        out.append(b)
+    return out

@@ -35,12 +35,12 @@ from orbitinv import (
     orbit_space_poincare,
     parse,
     serialize,
-    to_jsonable,
     verify_capping,
 )
 from orbitinv.capping import _Notes, _cap_cycle
 
 from capping_reference import reference_cap_cycle
+from json_reference import to_jsonable
 from datum_helper import datum
 from test_cyclegraph import forced_cycle
 

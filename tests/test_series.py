@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import orbitinv.series
 from orbitinv import (
@@ -27,6 +27,7 @@ from orbitinv import (
 )
 
 from datum_helper import datum
+import series_reference
 from series_reference import add, mul, poly_gcd, reduced
 
 
@@ -113,6 +114,45 @@ class TestPoincareSeries:
             assert any(c < 0 or c.denominator != 1 for c in oracle)
             return
         assert got == expand_oracle(num, den, 12)
+
+
+class TestClosedFormExpansion:
+    """Over 1 and 1 - x^p, ``expansion`` runs the recurrence to one period
+    past the numerator and repeats the last period; it must agree with long
+    division, errors included."""
+
+    @given(st.lists(st.integers(-2, 4), max_size=6),
+           st.sampled_from([(1,), (1, -1), (1, 0, -1), (1, 0, 0, -1)]), st.integers(0, 40))
+    @example(num=[1], den=(1, 0, -1), upto=40)  # numerator shorter than the period
+    @example(num=[1], den=(1, 0, -1), upto=1)
+    @example(num=[], den=(1, 0, -1), upto=5)
+    @example(num=[1, 0, -2], den=(1, -1), upto=7)
+    def test_matches_long_division(self, num, den, upto):
+        series = PoincareSeries(tuple(num), den)
+        try:
+            want = series_reference.expansion(series, upto)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                series.expansion(upto)
+            assert str(got.value) == str(err)
+            return
+        assert series.expansion(upto) == want
+
+    def test_library_series_match_long_division(self):
+        for inv in enumerate_invariants(TestPinnedJson.BOUNDS):
+            series = equivariant_poincare(inv)
+            assert series.expansion(40) == series_reference.expansion(series, 40), series
+
+    def test_other_denominators_run_long_division(self):
+        for num, den in [((1,), (1, -2)), ((1, 1), (1, 0, 0, -1)), ((1, 2), (2, -1))]:
+            series = PoincareSeries(num, den)
+            try:
+                want = series_reference.expansion(series, 12)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    series.expansion(12)
+            else:
+                assert series.expansion(12) == want
 
 
 class TestOrbitSpacePoincare:
@@ -349,6 +389,12 @@ class TestCoefficient:
         series = PoincareSeries(num, den)
         expansion = series.expansion(30)
         assert [series.coefficient(k) for k in range(31)] == expansion
+
+    def test_huge_degree_over_any_period(self):
+        series = PoincareSeries((1, 1), (1, 0, 0, -1))  # period 3
+        assert series.expansion(8) == [1, 1, 0] * 3
+        for k in (10**18, 10**18 + 1, 10**18 + 2):
+            assert series.coefficient(k) == [1, 1, 0][k % 3]
 
     def test_same_error_as_the_expansion(self):
         series = PoincareSeries((1, 0, -2), (1, -1))

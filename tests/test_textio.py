@@ -588,6 +588,21 @@ class TestPairOrder:
         assert calls == []
         assert sorted(inv.pairs) and calls  # the patch itself is live
 
+    @pytest.mark.parametrize("pairs, shown", [
+        ([SeifertPair("3", 1), SeifertPair(2, 1)], "(3,1),(2,1)"),
+        ([SeifertPair(2, 1), SeifertPair("3", 1)], "(2,1),(3,1)"),
+        ([SeifertPair(3, 1), SeifertPair(3, None), SeifertPair(2, 1)], "(3,1),(3,None),(2,1)"),
+    ])
+    def test_unsortable_pairs_keep_their_order(self, pairs, shown):
+        """A datum refused for a pair entry's type still prints, with its
+        pairs in their given order in the text and in the JSON."""
+        inv = OrbitInvariants(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=pairs)
+        text = "{b=0;(o,g=0,f=0,s=0,t=0);" + shown + "}"
+        assert serialize(inv) == str(inv) == text
+        doc = json.loads(emit_json(inv))
+        assert doc["text"] == text and doc["pairs"] == [[p.m, p.n] for p in pairs]
+        assert {v.condition for v in validate(inv).violations} == {"domain"}
+
     @given(st.lists(st.tuples(st.integers(2, 6), st.integers(1, 5)), max_size=8))
     def test_order_equals_sorted_pairs(self, raw):
         inv = OrbitInvariants(b=0, eps="o", g=1, f=0, s=0, t=0, pairs=raw)
