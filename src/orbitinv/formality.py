@@ -23,6 +23,7 @@ circles exist, and otherwise equals
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -46,11 +47,8 @@ class FormalityResult:
     reason: str
     generators: tuple[ModuleGenerator, ...] = ()
 
-    def degree_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for gen in self.generators:
-            counts[gen.degree] = counts.get(gen.degree, 0) + 1
-        return counts
+    def degree_counts(self) -> Counter[int]:
+        return Counter(gen.degree for gen in self.generators)
 
 
 def _formal_generators(inv: OrbitInvariants) -> tuple[ModuleGenerator, ...]:
@@ -111,11 +109,7 @@ def is_formal(inv: OrbitInvariants) -> FormalityResult:
     else:
         formal = inv.g == 1 and inv.s == 0
     if formal:
-        branch = {
-            (True, 0): "orientable orbit surface with g = 0, s = 0",
-            (True, 1): "orientable orbit surface with g = 0, s = 1",
-            (False, 0): "nonorientable orbit surface with g = 1, s = 0",
-        }[(inv.eps is ORIENTABLE, inv.s)]
+        branch = f"{inv.eps.name.lower()} orbit surface with g = {inv.g}, s = {inv.s}"
         return FormalityResult(True, branch, _formal_generators(inv))
 
     _, b1, _, b3 = equivariant_poincare(inv).expansion(3)

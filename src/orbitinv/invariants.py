@@ -30,6 +30,7 @@ returns a report of violations instead of raising.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -150,10 +151,7 @@ class OrbitInvariants:
         return self.f + self.s + self.t + len(self.graph)
 
     def replace(self, **changes) -> "OrbitInvariants":
-        fields = dict(b=self.b, eps=self.eps, g=self.g, f=self.f, s=self.s,
-                      t=self.t, pairs=self.pairs, graph=self.graph)
-        fields.update(changes)
-        return OrbitInvariants(**fields)
+        return dataclasses.replace(self, **changes)
 
     def __str__(self) -> str:
         from .textio import serialize

@@ -122,23 +122,19 @@ class PoincareSeries:
     def coefficient(self, k: int) -> int:
         """b_k, raising ``ValueError`` as ``expansion(k)`` would.
 
-        Over 1 and ``1 - x^p`` (``_period``) the expansion to degree
-        ``len(num) + p - 1`` holds, and checks, every value, so the time
-        does not grow with k.  Any other denominator runs long division up
-        to k.
+        Over 1 and ``1 - x^p`` (``_period``) a degree past the numerator is
+        first folded into the first period after it (over 1, onto
+        ``len(num)``, where b = 0), so the time does not grow with k and the
+        expansion up to the folded degree checks every value.  Any other
+        denominator expands up to k.  A negative k is a ``ValueError``.
         """
         k = _as_int(k, "k")
         if k < 0:
             raise ValueError("degree must be nonnegative")
-        num = self.num
-        period = _period(self.den)
-        if period is None:
-            return self._long_division(k)[k]
-        top = len(num) + period - 1
-        out = self.expansion(min(k, top))
-        if k <= top:
-            return out[k]
-        return out[len(num) + (k - len(num)) % period] if period else 0
+        start, period = len(self.num), _period(self.den)
+        if period is not None and k > start:
+            k = start + (k - start) % period if period else start
+        return self.expansion(k)[k]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PoincareSeries):
@@ -238,8 +234,6 @@ def equivariant_poincare(inv: OrbitInvariants) -> PoincareSeries:
 
 
 def betti(inv: OrbitInvariants, k: int) -> int:
-    """dim of the degree-k rational equivariant cohomology."""
-    k = _as_int(k, "k")
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    """dim of the degree-k rational equivariant cohomology: the datum is
+    checked first, then ``k`` as ``PoincareSeries.coefficient`` checks it."""
     return equivariant_poincare(inv).coefficient(k)

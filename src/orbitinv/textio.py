@@ -183,12 +183,9 @@ class _Parser:
             self.pos += 1
         else:
             self.error(f"expected orientability 'o' or 'n', got {text or 'end of input'!r}")
-        self.expect(",")
-        self.parse_field("g")
-        self.expect(",")
-        self.parse_field("f")
-        self.expect(",")
-        self.parse_field("s")
+        for name in ("g", "f", "s"):
+            self.expect(",")
+            self.parse_field(name)
         if self.accept(","):
             self.parse_field("t")
         self.expect(")")
@@ -372,12 +369,7 @@ def serialize(inv: OrbitInvariants) -> str:
         _require_datum(inv, "inv")
         raise
     if pairs:
-        # ``_pair_order``, inlined so that a census datum pays no call
-        try:
-            mns = sorted(map(pair_mn, pairs))
-        except TypeError:
-            mns = map(pair_mn, pairs)
-        out.append(";" + ",".join(["(%s,%s)" % mn for mn in mns]))
+        out.append(";" + ",".join(["(%s,%s)" % mn for mn in _pair_order(pairs)]))
     if graph:
         out.append(";G=[" + graph.canonical_text + "]")
     out.append("}")

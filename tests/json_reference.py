@@ -2,8 +2,9 @@
 JSON text directly, kept as the reference the tests compare the encoder
 against: ``emit_json(x) == json.dumps(to_jsonable(x))`` byte for byte, and
 the same exception class wherever this builder or ``json.dumps`` refuses
-``x``.  Its one change is the pair order, ``textio._pair_order``, which
-keeps pairs that cannot be sorted in their given order."""
+``x``.  Its one change is the pair order, which keeps pairs that cannot be
+sorted in their given order; it is stated here again (``_pair_order``), not
+taken from ``orbitinv.textio``, so that the identity checks the encoder's."""
 
 from __future__ import annotations
 
@@ -23,7 +24,17 @@ from orbitinv.invariants import (
     Violation,
 )
 from orbitinv.series import FixedSetShape, PoincareSeries
-from orbitinv.textio import Diagnostic, _pair_order, serialize
+from orbitinv.textio import Diagnostic, serialize
+
+
+def _pair_order(pairs) -> list[tuple]:
+    """The ``(m, n)`` tuples of ``pairs`` sorted, or in their given order when
+    sorting them raises ``TypeError``."""
+    mns = [(pair.m, pair.n) for pair in pairs]
+    try:
+        return sorted(mns)
+    except TypeError:
+        return mns
 
 
 def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:

@@ -5,7 +5,6 @@ import re
 from fractions import Fraction
 from numbers import Integral
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +29,7 @@ from orbitinv import (
 )
 
 from datum_helper import datum
+from numpy_helper import numpy, numpy_case
 
 
 class TestValidate:
@@ -83,7 +83,7 @@ class TestValidate:
         (SeifertPair(3, 1.0), "3, 1.0"),
         (SeifertPair(True, 1), "True, 1"),
         (SeifertPair(3, True), "3, True"),
-        (SeifertPair(np.int64(3), 1), f"{np.int64(3)!r}, 1"),
+        numpy_case(lambda np: (SeifertPair(np.int64(3), 1), f"{np.int64(3)!r}, 1"), width=2),
         (SeifertPair(3, Fraction(1)), "3, Fraction(1, 1)"),
     ])
     def test_non_integer_pair_entries_reported_not_raised(self, pair, got):
@@ -124,6 +124,7 @@ class TestIntegralCounts:
     """Integral counts of any integer type are stored as ``int``."""
 
     def test_numpy_counts_give_the_int_datum(self):
+        np = pytest.importorskip("numpy")
         inv = OrbitInvariants(b=np.int64(0), eps="o", g=np.int64(1), f=0, s=0, t=0)
         ref = datum(g=1)
         assert validate(inv).ok
@@ -131,7 +132,9 @@ class TestIntegralCounts:
         assert serialize(inv) == serialize(ref) and emit_json(inv) == emit_json(ref)
 
     @pytest.mark.parametrize("field", ["b", "g", "f", "s", "t"])
-    @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), np.int32(1)])
+    @pytest.mark.parametrize("value", [numpy_case(lambda np: np.int64(1)),
+                                       numpy_case(lambda np: np.uint8(1)),
+                                       numpy_case(lambda np: np.int32(1))])
     def test_each_count_becomes_int(self, field, value):
         inv = datum(eps="n", g=1).replace(**{field: value})
         assert type(getattr(inv, field)) is int
@@ -144,8 +147,8 @@ def integral(value) -> bool:
 
 PAIR_ENTRY = st.one_of(
     st.integers(-3, 12),
-    st.integers(-3, 12).map(np.int64),
-    st.integers(0, 12).map(np.uint8),
+    *([st.integers(-3, 12).map(numpy.int64), st.integers(0, 12).map(numpy.uint8)]
+      if numpy else []),
     st.booleans(),
     st.floats(),
     st.fractions(),
@@ -390,6 +393,7 @@ class TestClassify2d:
             classify_2d(*args)
 
     def test_numpy_and_negative_counts(self):
+        np = pytest.importorskip("numpy")
         assert classify_2d(np.int64(1), np.int8(1), np.uint8(0)) is Surface2d.DISK
         assert classify_2d(-1, 0, 0) is None
 
