@@ -15,10 +15,12 @@ the first access to a submodule or to one of the names below (PEP 562
 ``from orbitinv import *`` binds the names of ``__all__``, not the
 submodules.
 
-An integer argument (a degree, a bound, a power, a count) may be of any
-integral type, numpy's included; a ``bool`` or a non-integral value is a
-``TypeError`` naming the argument, and so is a datum argument that is not
-an ``OrbitInvariants``.
+An integer (an argument, a bound, a datum's count or pair entry) may be of
+any integral type, numpy's included, and is stored as an ``int``.  A
+``bool`` or a non-integral value is a ``TypeError`` naming the argument,
+a ``ValueError`` naming the bound, or kept in the datum for ``validate`` to
+report; a datum argument that is not an ``OrbitInvariants`` is a
+``TypeError`` naming it.
 """
 
 import importlib

@@ -113,7 +113,9 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
     and exceptional pairs, and the new circles of the closed form in the
     module docstring: each cycle with 2k > 0 RP arcs adds 1 fixed and k
     special-exceptional circles, each other cycle one circle of its own
-    type.  Deterministic, including the recorded RP pairing.  Raises
+    type.  The output carries an ok verdict, as it is admissible by
+    construction (:func:`verify_capping` rechecks it in full).
+    Deterministic, including the recorded RP pairing.  Raises
     :class:`CappingError` on closed input.
     """
     require_valid(inv, "cap_off")
@@ -151,7 +153,7 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
     return CappingReport(
         input=inv,
         output=_trusted(0, inv.eps, inv.g, inv.f + new_f, inv.s + new_se, 0, inv.pairs,
-                        EMPTY_GRAPH),
+                        EMPTY_GRAPH, admissible=True),
         chi_before=chi_before,
         chi_after=chi_before + inv.t - len(pairings),
         rp_pairings=tuple(pairings),

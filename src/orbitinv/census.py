@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .cyclegraph import CycleGraph, valid_cycle_words
-from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _is_int, _trusted
+from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _integer, _trusted
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,19 @@ class EnumerationBounds:
     def __post_init__(self) -> None:
         for name in ("max_g", "max_f", "max_s", "max_t", "max_r", "max_m",
                      "max_cycles", "max_cycle_len"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 0:
+            value = _integer(getattr(self, name))
+            if value.__class__ is not int or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, value)
         try:
-            lo, hi = self.b_range
+            lo, hi = map(_integer, self.b_range)
         except (TypeError, ValueError):
             lo = hi = None
-        if not (_is_int(lo) and _is_int(hi)):
+        if lo.__class__ is not int or hi.__class__ is not int:
             raise ValueError(f"b_range must be a pair of integers, got {self.b_range!r}")
         if lo > hi:
             raise ValueError(f"empty b_range {self.b_range}")
+        object.__setattr__(self, "b_range", (lo, hi))
 
 
 def _graphs(bounds: EnumerationBounds) -> list[CycleGraph]:

@@ -200,8 +200,10 @@ def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
     By the forcing rule the valid cycles with 2k edges are exactly the binary
     F/SE words of length k with their boundary arcs filled in.
     """
+    from .invariants import _as_int  # invariants imports this module
+
     found = set()
-    for k in range(1, max_len // 2 + 1):
+    for k in range(1, _as_int(max_len, "max_len") // 2 + 1):
         for interior in product((EdgeLabel.F, EdgeLabel.SE), repeat=k):
             word = []
             for i, lab in enumerate(interior):

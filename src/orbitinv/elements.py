@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .invariants import ORIENTABLE, OrbitInvariants, _as_int, require_valid
@@ -57,6 +58,11 @@ def _as_tuple(values: Iterable, convert: Callable, length: int, name: str) -> tu
     if len(out) != length:
         raise ValueError(f"{name} must have length {length}, got {len(out)}")
     return out
+
+
+# A class's coefficient blocks after D: the degree-1 surface coefficients
+# A, B, C, C_se, then the fixed-circle polynomials p and q.
+_blocks = attrgetter("A", "B", "C", "C_se", "p", "q")
 
 
 class EquivariantCohomology:
@@ -161,9 +167,7 @@ class CohomElement:
 
     @property
     def is_zero(self) -> bool:
-        return (self.D == 0 and not any(self.A) and not any(self.B) and not any(self.C)
-                and not any(self.C_se) and all(pl.is_zero for pl in self.p)
-                and all(pl.is_zero for pl in self.q))
+        return self.D == 0 and not any(map(any, _blocks(self)))
 
     def _check(self, other: "CohomElement") -> None:
         if self.ring != other.ring:
@@ -173,15 +177,8 @@ class CohomElement:
         if not isinstance(other, CohomElement):
             return NotImplemented
         self._check(other)
-        return CohomElement(
-            self.ring, self.D + other.D,
-            tuple(a + b for a, b in zip(self.A, other.A)),
-            tuple(a + b for a, b in zip(self.B, other.B)),
-            tuple(a + b for a, b in zip(self.C, other.C)),
-            tuple(a + b for a, b in zip(self.C_se, other.C_se)),
-            tuple(a + b for a, b in zip(self.p, other.p)),
-            tuple(a + b for a, b in zip(self.q, other.q)),
-        )
+        sums = [tuple(map(add, x, y)) for x, y in zip(_blocks(self), _blocks(other))]
+        return CohomElement(self.ring, self.D + other.D, *sums)
 
     def __neg__(self) -> "CohomElement":
         return self.scaled(-1)
@@ -193,22 +190,13 @@ class CohomElement:
 
     def scaled(self, c: Coeff) -> "CohomElement":
         c = exact(c)
-        return CohomElement(
-            self.ring, c * self.D,
-            tuple(c * a for a in self.A),
-            tuple(c * a for a in self.B),
-            tuple(c * a for a in self.C),
-            tuple(c * a for a in self.C_se),
-            tuple(c * pl for pl in self.p),
-            tuple(c * pl for pl in self.q),
-        )
+        return CohomElement(self.ring, c * self.D,
+                            *[tuple([c * v for v in block]) for block in _blocks(self)])
 
     def __mul__(self, other):
         if isinstance(other, CohomElement):
             return cup(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -217,18 +205,11 @@ class CohomElement:
 
     def max_degree(self) -> int:
         """Largest degree carrying a nonzero homogeneous component; -1 for 0."""
-        deg = -1
-        if self.D != 0:
-            deg = 0
-        if any(self.A) or any(self.B) or any(self.C) or any(self.C_se):
-            deg = max(deg, 1)
-        for pl in self.p:
-            if pl.degree >= 1:
-                deg = max(deg, 2 * pl.degree)
-        for pl in self.q:
-            if pl.degree >= 1:
-                deg = max(deg, 2 * pl.degree + 1)
-        return deg
+        blocks = _blocks(self)
+        low = 1 if any(map(any, blocks[:4])) else 0 if self.D != 0 else -1
+        # u^k delta_i has degree 2k and u^k theta_i degree 2k + 1
+        return max((2 * pl.degree + odd for odd, block in enumerate(blocks[4:])
+                    for pl in block if pl.degree >= 1), default=low)
 
     def render(self) -> str:
         """Readable form, e.g. ``theta_1 - theta_2`` or ``u*delta_1 + u*theta_2``."""
@@ -260,17 +241,14 @@ def cup(a: CohomElement, b: CohomElement) -> CohomElement:
     vanishing H^2 of the surface and in theta^2 terms, hence is always zero.
     """
     a._check(b)
-    ring = a.ring
-    return CohomElement(
-        ring,
-        a.D * b.D,
-        tuple(a.D * y + b.D * x for x, y in zip(a.A, b.A)),
-        tuple(a.D * y + b.D * x for x, y in zip(a.B, b.B)),
-        tuple(a.D * y + b.D * x for x, y in zip(a.C, b.C)),
-        tuple(a.D * y + b.D * x for x, y in zip(a.C_se, b.C_se)),
-        tuple(pa * pb for pa, pb in zip(a.p, b.p)),
-        tuple(pa * qb + qa * pb for pa, qa, pb, qb in zip(a.p, a.q, b.p, b.q)),
-    )
+    a_blocks, b_blocks = _blocks(a), _blocks(b)
+    (pa, qa), (pb, qb) = a_blocks[4:], b_blocks[4:]
+    aD, bD = a.D, b.D
+    return CohomElement(a.ring, aD * bD,
+                        *[tuple([aD * y + bD * x for x, y in zip(xs, ys)])
+                          for xs, ys in zip(a_blocks[:4], b_blocks[:4])],
+                        tuple(map(mul, pa, pb)),
+                        tuple([p * q2 + q * p2 for p, q, p2, q2 in zip(pa, qa, pb, qb)]))
 
 
 def module_action(power: int, x: CohomElement) -> CohomElement:
@@ -284,11 +262,10 @@ def module_action(power: int, x: CohomElement) -> CohomElement:
     if power == 0:
         return x
     shift = (0,) * power
-    return CohomElement(
-        x.ring, 0, (0,) * len(x.A), (0,) * len(x.B), (0,) * len(x.C), (0,) * len(x.C_se),
-        tuple(_poly([*shift, *pl.coeffs]) for pl in x.p),
-        tuple(_poly([*shift, *pl.coeffs]) for pl in x.q),
-    )
+    ring, blocks = x.ring, _blocks(x)
+    return CohomElement(ring, 0, *[(0,) * len(block) for block in blocks[:4]],
+                        *[tuple([_poly([*shift, *pl.coeffs]) for pl in block])
+                          for block in blocks[4:]])
 
 
 def degree_decompose(x: CohomElement) -> dict[int, CohomElement]:
@@ -298,14 +275,14 @@ def degree_decompose(x: CohomElement) -> dict[int, CohomElement]:
     out: dict[int, CohomElement] = {}
     if x.D != 0:
         out[0] = ring.from_parts(D=x.D, p=(x.D,) * ring.f)
-    if any(x.A) or any(x.B) or any(x.C) or any(x.C_se):
+    if any(map(any, _blocks(x)[:4])):
         out[1] = ring.from_parts(A=x.A, B=x.B or None, C=x.C, C_se=x.C_se, q=x.C)
     top = max((pl.degree for pl in x.p + x.q), default=0)
     for k in range(1, top + 1):
         p_part = tuple(Poly.monomial(k, pl[k]) for pl in x.p)
-        if any(not pl.is_zero for pl in p_part):
+        if any(p_part):
             out[2 * k] = ring.from_parts(p=p_part)
         q_part = tuple(Poly.monomial(k, pl[k]) for pl in x.q)
-        if any(not pl.is_zero for pl in q_part):
+        if any(q_part):
             out[2 * k + 1] = ring.from_parts(q=q_part)
     return out

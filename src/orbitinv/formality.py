@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .elements import CohomElement, EquivariantCohomology
-from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, require_valid
+from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, _as_int, require_valid
 from .polyq import Poly
 from .series import equivariant_poincare
 
@@ -125,6 +125,7 @@ def inverse_mod(n: int, m: int) -> int:
 
     Requires m >= 2 and gcd(n, m) = 1.
     """
+    n, m = _as_int(n, "n"), _as_int(m, "m")
     try:
         return pow(n, -1, m)
     except ValueError:

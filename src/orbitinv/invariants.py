@@ -86,15 +86,13 @@ pair_mn = attrgetter("m", "n")
 
 
 def _as_pair(value: PairLike) -> SeifertPair:
-    """Integral entries other than ``bool`` (numpy integers too) become
-    ``int``; any other entry is kept, never truncated, for ``validate``."""
-    if isinstance(value, SeifertPair):
-        return value
+    """A pair, tuple or ``SeifertPair``, with its entries under
+    :func:`_integer`."""
     try:
-        m, n = (int(v) if _is_integral(v) else v for v in value)
+        m, n = pair_mn(value) if isinstance(value, SeifertPair) else value
     except (TypeError, ValueError):
         raise ValueError(f"a pair is two entries (m, n), got {value!r}") from None
-    return SeifertPair(m, n)
+    return SeifertPair(_integer(m), _integer(n))
 
 
 def _iterate(value, what: str):
@@ -116,9 +114,10 @@ class OrbitInvariants:
     """The full classification datum.  Construction and :meth:`replace`
     never validate: a new instance starts without a verdict, and
     :func:`validate` records an ok one on the instance (see
-    :func:`require_valid`).  Only the census's data carry an ok verdict
-    from birth, since each is admissible by construction; parsed,
-    user-built, capped, normalized and ``replace``d data do not."""
+    :func:`require_valid`).  Only the census's data and capping outputs
+    carry an ok verdict from birth, since each is admissible by
+    construction; parsed, user-built, normalized and ``replace``d data do
+    not."""
 
     b: int
     eps: Orientability
@@ -131,9 +130,7 @@ class OrbitInvariants:
 
     def __post_init__(self) -> None:
         for name in ("b", "g", "f", "s", "t"):
-            value = getattr(self, name)
-            if value.__class__ is not int and _is_integral(value):
-                object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if isinstance(self.eps, str):
             object.__setattr__(self, "eps", Orientability.from_letter(self.eps))
         pairs = _iterate(self.pairs, "pairs is an iterable of (m, n) pairs")
@@ -194,24 +191,23 @@ class InvariantError(ValueError):
         super().__init__(prefix + str(report))
 
 
-def _is_int(value) -> bool:
-    """An exact integer field value; ``bool`` is an ``int`` but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_integral(value) -> bool:
-    """An integer of any integral type, numpy's included, other than ``bool``."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+def _integer(value):
+    """The integer rule of a datum's counts and pair entries and of census
+    bounds: an integral value other than a ``bool`` (numpy's integers too) as
+    an exact ``int``, any other value as it is, never truncated, for
+    ``validate`` to report."""
+    if value.__class__ is int or not isinstance(value, Integral) or isinstance(value, bool):
+        return value
+    return int(value)
 
 
 def _as_int(value, name: str) -> int:
     """An integer argument as an ``int``; a ``bool`` or a non-integral value
     is a ``TypeError`` naming the argument."""
-    if value.__class__ is int:
-        return value
-    if not _is_integral(value):
+    value = _integer(value)
+    if value.__class__ is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _require_datum(value, name: str) -> None:
@@ -260,10 +256,10 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
     counts_ok = True
     for name in ("g", "f", "s", "t"):
         value = getattr(inv, name)
-        if not _is_int(value) or value < 0:
+        if value.__class__ is not int or value < 0:
             bad("domain", f"{name} must be a nonnegative integer, got {value!r}")
             counts_ok = False
-    if not _is_int(inv.b):
+    if inv.b.__class__ is not int:
         bad("domain", f"b must be an integer, got {inv.b!r}")
         counts_ok = False
 
@@ -285,7 +281,7 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
 
     for idx, pair in enumerate(inv.pairs):
         m, n = pair.m, pair.n
-        if not (type(m) is int and type(n) is int or _is_int(m) and _is_int(n)):
+        if m.__class__ is not int or n.__class__ is not int:
             bad_pair("domain", f"m and n must be integers, got {m!r}, {n!r}")
             continue
         if m < 2 or n < 1:
@@ -303,7 +299,7 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
     for gv in validate_graph(inv.graph).violations:
         bad("3", str(gv))
 
-    if inv.eps is NONORIENTABLE and _is_int(inv.g) and inv.g < 1:
+    if inv.eps is NONORIENTABLE and inv.g.__class__ is int and inv.g < 1:
         bad("nonorientable-genus", f"a nonorientable surface has genus >= 1, got g={inv.g}")
 
     if not violations:
@@ -344,15 +340,15 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
     if inv.eps is NONORIENTABLE:
         reduced = []
         for p in pairs:
-            if _is_int(p.m) and _is_int(p.n) and p.n < p.m < 2 * p.n:
+            if p.m.__class__ is int and p.n.__class__ is int and p.n < p.m < 2 * p.n:
                 p = SeifertPair(p.m, p.m - p.n)
                 changed = True
             reduced.append(p)
         pairs = tuple(reduced)
     b = inv.b
-    if (inv.eps is NONORIENTABLE and all(_is_int(v) for v in (b, inv.f, inv.s, inv.t))
+    if (inv.eps is NONORIENTABLE and all(v.__class__ is int for v in (b, inv.f, inv.s, inv.t))
             and inv.f + inv.s + inv.t == 0 and not inv.graph):
-        b = 0 if any(_is_int(p.m) and p.m == 2 for p in pairs) else b % 2
+        b = 0 if any(p.m.__class__ is int and p.m == 2 for p in pairs) else b % 2
         changed = changed or b != inv.b
     return _trusted(b, inv.eps, inv.g, inv.f, inv.s, inv.t, pairs, inv.graph) if changed else inv
 
@@ -379,10 +375,10 @@ def derived_counts(inv: OrbitInvariants) -> DerivedCounts:
     Corners are counted by their type (each corner touches exactly one
     interior arc, whose label decides F-type versus SE-type).  ``validate``
     does not consult these counts: the identities follow from the forcing
-    rule, and the tests check them independently.  Raises ``ValueError``
-    when the graph has a corner of undetermined type.
+    rule, and the tests check them independently.  Raises
+    :class:`InvariantError` for an inadmissible datum.
     """
-    _require_datum(inv, "inv")
+    require_valid(inv, "derived_counts")
     graph = inv.graph
     v_f = v_s = 0
     for cycle in graph.cycles:

@@ -13,12 +13,10 @@ value outside its type (in a datum ``validate`` refuses, or a report built
 by hand) is written as ``json.dumps`` writes it.  Strings are escaped by
 ``encode_basestring_ascii``, the function ``json.dumps`` itself uses, except
 text that holds no character JSON escapes by construction, which is copied
-as it is: field names, edge label names and the notes
-:func:`~orbitinv.capping.cap_off` builds (``capping._Notes``).  A datum's
-text is escaped even with an ok verdict, which admits pair entries of an
-``int`` subclass whose ``str`` is any text.  Within one call each datum
-object is written once, so a capping payload's ``datum`` and ``cap.input``
-cost one.
+as it is: field names, edge label names, the text of a datum with an ok
+verdict and the notes :func:`~orbitinv.capping.cap_off` builds
+(``capping._Notes``).  Within one call each datum object is written once,
+so a capping payload's ``datum`` and ``cap.input`` cost one.
 """
 
 from __future__ import annotations
@@ -137,12 +135,13 @@ def _datum(inv: OrbitInvariants, upto: int, seen: dict) -> str:
 def _datum_text(inv: OrbitInvariants, seen: dict) -> str:
     eps, pairs = inv.eps, inv.pairs
     b, g, f, s, t = inv.b, inv.g, inv.f, inv.s, inv.t
+    text = serialize(inv)
     ok = _ADMISSIBLE in inv.__dict__
     if ok:
-        # the constructor stores every integral count as an int
-        eps = '"' + eps._value_ + '"'
+        # every integer of an admissible datum is an exact int
+        text, eps = '"' + text + '"', '"' + eps._value_ + '"'
     else:
-        b, g, f, s, t = _raw(b), _raw(g), _raw(f), _raw(s), _raw(t)
+        text, b, g, f, s, t = _quote(text), _raw(b), _raw(g), _raw(f), _raw(s), _raw(t)
         eps = _raw(eps._value_ if eps.__class__ is Orientability else eps)
     # a capping report's output holds its input's pairs
     pairs_json = seen.get(id(pairs))
@@ -153,8 +152,7 @@ def _datum_text(inv: OrbitInvariants, seen: dict) -> str:
         else:
             pairs_json = "[" + ", ".join(["[%s, %s]" % (_raw(m), _raw(n)) for m, n in mns]) + "]"
         seen[id(pairs)] = pairs_json
-    return _DATUM % (_quote(serialize(inv)), b, eps, g, f, s, t, pairs_json,
-                     _graph(inv.graph.cycles))
+    return _DATUM % (text, b, eps, g, f, s, t, pairs_json, _graph(inv.graph.cycles))
 
 
 def _canonical(form: CanonicalForm, upto: int, seen: dict) -> str:

@@ -313,7 +313,8 @@ class TestNotesJson:
 class TestValidateOncePerEntryPoint:
     """Each public operation decides admissibility once, and an ok verdict
     is recorded on the instance: later operations on it validate nothing.
-    New instances (a capping result, ``replace``) start without a verdict."""
+    A capping result carries a verdict from birth, and ``replace`` starts
+    without one."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -381,12 +382,12 @@ class TestValidateOncePerEntryPoint:
         cap_off(inv)
         assert validations == [inv]
 
-    def test_pipeline_chain_validates_twice(self, validations):
+    def test_pipeline_chain_validates_once(self, validations):
         inv = datum(t=1, graph=[["F", "RP", "SE", "RP"]])
         report = cap_off(inv)
         equivariant_poincare(inv)
         is_formal(report.output)
-        assert validations == [inv, report.output]
+        assert validations == [inv]
 
     @pytest.mark.parametrize("copy_of", [dataclasses.replace, lambda inv: inv.replace()])
     def test_replace_starts_unrecorded(self, validations, copy_of):
@@ -434,10 +435,19 @@ class TestValidateOncePerEntryPoint:
             assert validations[-1] is user_built
         assert len(validations) == len(census)
 
-    def test_parsed_capped_and_normalized_data_start_unrecorded(self, validations):
+    def test_capped_outputs_carry_a_verdict(self, validations):
+        census = [inv for inv in list(enumerate_invariants(CENSUS_BOX))[::200] if not inv.closed]
+        outputs = [cap_off(inv).output for inv in census]
+        validations.clear()
+        for out in outputs:
+            orbit_euler_characteristic(out)
+            is_formal(out)
+        assert validations == []
+        assert len(outputs) == 44 and all(orbitinv.validate(out).ok for out in outputs)
+
+    def test_parsed_and_normalized_data_start_unrecorded(self, validations):
         census = list(enumerate_invariants(CENSUS_BOX))[::200]
         fresh = [parse(serialize(inv)) for inv in census]
-        fresh += [cap_off(inv).output for inv in census if not inv.closed]
         unreduced = datum(b=3, eps="n", g=1, pairs=[(5, 4)])
         fresh.append(normalize(unreduced))
         assert fresh[-1] == datum(b=1, eps="n", g=1, pairs=[(5, 1)])

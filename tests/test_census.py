@@ -131,6 +131,16 @@ class TestCensusProperties:
         with pytest.raises(ValueError, match=field):
             EnumerationBounds(**{field: value})
 
+    def test_integral_bounds_stored_as_int(self):
+        """Any integral bound, numpy's included, is taken as an ``int``."""
+        np = pytest.importorskip("numpy")
+        given = EnumerationBounds(max_g=np.int64(1), max_f=np.uint8(1), max_m=np.int32(3),
+                                  max_r=1, b_range=[np.int64(-1), np.int16(1)])
+        plain = EnumerationBounds(max_g=1, max_f=1, max_m=3, max_r=1, b_range=(-1, 1))
+        assert given == plain and hash(given) == hash(plain)
+        assert all(type(v) is int for v in (given.max_g, given.max_f, given.max_m, *given.b_range))
+        assert list(enumerate_invariants(given)) == list(enumerate_invariants(plain))
+
 
 def public_rebuild(inv):
     """``inv`` built again by the public constructor from plain values: ints,

@@ -1,5 +1,6 @@
 """Cup products, module action, degree decomposition, and the ring axioms."""
 
+import hashlib
 import random
 import re
 from decimal import Decimal
@@ -11,12 +12,14 @@ import orbitinv.elements
 import orbitinv.polyq
 from orbitinv import (
     ContextError,
+    EnumerationBounds,
     EquivariantCohomology,
     OrbitInvariants,
     Poly,
     RelationError,
     cup,
     degree_decompose,
+    enumerate_invariants,
     is_formal,
     module_action,
     parse,
@@ -107,6 +110,42 @@ class TestCup:
     def test_context_mismatch(self):
         with pytest.raises(ContextError):
             cup(ring_for(f=2).unit(), ring_for(f=3).unit())
+
+
+class TestOperators:
+    def test_star_of_elements_is_cup(self):
+        ring = ring_for(f=2, g=1, s=1)
+        x = ring.from_parts(D=2, A=(1,), B=(-1,), C=(1, -1), q=(Poly((1, 2)), -1),
+                            p=(Poly((2, 1)), 2))
+        y = ring.from_parts(C_se=(1,), C=(-1, 0), q=(-1, U))
+        assert x * y == cup(x, y)
+        assert y * x == cup(y, x)
+
+    @pytest.mark.parametrize("c", [3, -1, 0, Fraction(1, 2)])
+    def test_star_of_a_scalar_scales(self, c):
+        x = ring_for(f=2).from_parts(D=1, p=(Poly((1, 1)), 1), C=(1, -1), q=(1, -1))
+        assert c * x == x * c == x.scaled(c)
+
+    def test_star_of_a_float_is_refused(self):
+        x = ring_for(f=2).unit()
+        with pytest.raises(TypeError):
+            x * 1.5
+        with pytest.raises(TypeError):
+            1.5 * x
+
+
+class TestRingIdentity:
+    def test_rings_of_equal_data_are_equal(self):
+        a = ring_for(f=2, g=1, s=1)
+        b = EquivariantCohomology(parse("{b=0;(o,g=1,f=2,s=1,t=0)}"))
+        assert a == b and hash(a) == hash(b)
+        assert a.unit() == b.unit()
+        assert repr(a) == "EquivariantCohomology({b=0;(o,g=1,f=2,s=1,t=0)})"
+
+    def test_rings_of_different_data_differ(self):
+        assert ring_for(f=2) != ring_for(f=3)
+        assert ring_for(f=2) != ring_for(f=2).inv
+        assert (ring_for(f=2) == "ring") is False
 
 
 class TestModuleAction:
@@ -397,3 +436,30 @@ class TestRender:
         half = Fraction(-1, 2)
         y = ring.from_parts(D=half, p=(Poly((half, 0, 2)), half), q=(0, -U))
         assert y.render() == "-1/2 + 2*u^2*delta_1 - u*theta_2"
+
+
+class TestAlgebraPin:
+    """Sums, multiples, cup products, the module action and the degree
+    split of the formal generators, and of mixed sums of them, pinned by the
+    SHA-256 of their ``repr``s over every formal datum of a census box."""
+
+    def test_results_pinned(self):
+        digest = hashlib.sha256()
+        formal = 0
+        for inv in enumerate_invariants(EnumerationBounds(max_g=1, max_f=3, max_s=1)):
+            result = is_formal(inv)
+            if not result.formal:
+                continue
+            formal += 1
+            gens = [gen.element for gen in result.generators]
+            pool = gens + [x + y.scaled(Fraction(1, 2)) for x, y in zip(gens, gens[1:])]
+            for x in pool:
+                values = [-x, x.scaled(3), x.scaled(Fraction(-2, 3)),
+                          *(module_action(k, x) for k in range(3)),
+                          sorted(degree_decompose(x).items()), x.is_zero, x.max_degree()]
+                for y in pool:
+                    values += [x + y, x - y, cup(x, y)]
+                digest.update(repr(values).encode())
+        assert formal == 9
+        assert digest.hexdigest() == (
+            "3beb65d41e370d86b89ab2fc995acedf0cb5f86b895c67f8f44c0a854b13afb3")

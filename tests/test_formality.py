@@ -67,6 +67,13 @@ class TestIsFormal:
             for inv in (datum(f=f), datum(f=f, s=1), datum(eps="n", g=1, f=f)):
                 assert len(is_formal(inv).generators) == 2 * f
 
+    def test_degree_counts_match_generator_degrees(self):
+        for inv in (datum(f=3), datum(f=2, s=1), datum(eps="n", g=1, f=2), datum(g=1, f=1)):
+            result = is_formal(inv)
+            degrees = [gen.degree for gen in result.generators]
+            assert result.degree_counts() == {d: degrees.count(d) for d in set(degrees)}
+        assert dict(is_formal(datum(f=3)).degree_counts()) == {0: 1, 1: 2, 2: 2, 3: 1}
+
 
 class TestGeneratorSeriesConsistency:
     def test_degree_polynomial_reproduces_series(self):
