@@ -35,9 +35,11 @@ the same genus and orientability: capping preserves g and eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .cyclegraph import Cycle, EdgeLabel, _render_word
-from .invariants import ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, _trusted, require_valid, validate
+from .invariants import (ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, _require, _trusted,
+                         require_valid, validate)
 
 
 class CappingError(ValueError):
@@ -94,13 +96,19 @@ def orbit_euler_characteristic(inv: OrbitInvariants) -> int:
     return 2 - inv.g - B
 
 
+# 1 at the value of RP, 0 at every other byte
+_IS_RP = bytes(value == EdgeLabel.RP for value in range(256))
+
+
 def _cap_cycle(word: Cycle) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """Surgery on one canonical cycle word, in closed form.
 
     Returns (new fixed circles, new special-exceptional circles, RP pairs),
     the pairs as edge positions of consecutive RP arcs in ``word``.
     """
-    rp = [i for i, lab in enumerate(word) if lab is EdgeLabel.RP]
+    # a canonical word starts on an interior arc, so its boundary arcs are
+    # the odd positions
+    rp = list(compress(range(1, len(word), 2), bytes(word)[1::2].translate(_IS_RP)))
     if rp:
         return 1, len(rp) // 2, tuple(zip(rp[::2], rp[1::2]))
     return (1, 0, ()) if word[0] is EdgeLabel.F else (0, 1, ())
@@ -165,8 +173,13 @@ def verify_capping(report: CappingReport) -> bool:
     """Recheck a report from scratch: the output must be an admissible closed
     datum with b = 0 and the input's exceptional pairs, one RP pairing must
     be recorded per two RP arcs, and the Euler characteristics must satisfy
-    chi_after = chi_before + t - r_p/2."""
-    inp, out = report.input, report.output
+    chi_after = chi_before + t - r_p/2.  Anything but a
+    :class:`CappingReport` is a ``TypeError`` naming ``report``."""
+    try:
+        inp, out = report.input, report.output
+    except AttributeError:
+        _require(report, CappingReport, "report")
+        raise
     if not (validate(inp).ok and validate(out).ok):
         return False
     if out.t != 0 or out.graph or out.b != 0 or out.pairs != inp.pairs:

@@ -24,7 +24,8 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .cyclegraph import CycleGraph, valid_cycle_words
-from .invariants import NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _integer, _trusted
+from .invariants import (NONORIENTABLE, ORIENTABLE, OrbitInvariants, SeifertPair, _integer,
+                         _require, _trusted)
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,15 @@ def enumerate_invariants(bounds: EnumerationBounds) -> Iterator[OrbitInvariants]
     Every datum is admissible and distinct by construction: pair multisets
     are sorted and normalized, graphs are sorted multisets of canonical
     words, and b is restricted per stratum, so each candidate is already its
-    own canonical form.
+    own canonical form.  Anything but an :class:`EnumerationBounds` is a
+    ``TypeError`` naming ``bounds``, raised when the stream is first read.
     """
-    graphs = _graphs(bounds)
-    lo, hi = bounds.b_range
+    try:
+        graphs = _graphs(bounds)
+        lo, hi = bounds.b_range
+    except AttributeError:
+        _require(bounds, EnumerationBounds, "bounds")
+        raise
     for eps in (ORIENTABLE, NONORIENTABLE):
         pair_multisets = _pairs_for(eps, bounds)
         for g in range(0 if eps is ORIENTABLE else 1, bounds.max_g + 1):

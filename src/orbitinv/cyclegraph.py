@@ -31,6 +31,12 @@ are the same exactly when one is a rotation or a reflection of the other.
 Equality of graphs is decided through canonical cycle words: the
 lexicographically smallest word over all rotations of a cycle and of its
 reversal, under the fixed label order F < SE < SP < K < RP.
+
+Read from an interior arc, a valid cycle of 2k arcs is a word of k pair
+letters, each an interior arc and the boundary arc it forces next to it:
+(F,SP) < (F,RP) < (SE,K) < (SE,RP).  The letter order is the order of the
+full words, so valid cycles are checked and canonicalized on their pair
+words, built from the label values with ``bytes`` operations.
 """
 
 from __future__ import annotations
@@ -169,10 +175,14 @@ def validate_graph(graph: CycleGraph) -> GraphReport:
 
     Returns a report rather than raising: violations are data.  Each
     violation names the offending cycle and, for cycles of at least two
-    edges, the edge position inside it.
+    edges, the edge position inside it.  A cycle is checked on its pair
+    word (``_pair_word``); the per-edge scan runs only on a cycle that
+    fails, to locate its violations.
     """
     violations: list[GraphViolation] = []
     for ci, cycle in enumerate(graph.cycles):
+        if _pair_word(bytes(cycle)) is not None:
+            continue
         n = len(cycle)
         if n < 2:
             violations.append(GraphViolation(
@@ -194,6 +204,35 @@ def validate_graph(graph: CycleGraph) -> GraphReport:
     return GraphReport(ok=not violations, violations=tuple(violations))
 
 
+# The forced boundary arc of each pair letter 0..3, and of every other byte
+# a value that is no label.
+_PAIR_BOUNDARY = bytes((EdgeLabel.SP, EdgeLabel.RP, EdgeLabel.K, EdgeLabel.RP)).ljust(256, b"\xff")
+
+
+def _pair_word(code: bytes) -> tuple[int, bytes, bytes] | None:
+    """``(start, interior, pairs)`` for a valid cycle, ``None`` otherwise.
+
+    ``code`` holds the cycle's label values.  ``start`` (0 or 1) is the
+    position of its first interior arc, ``interior`` its interior arcs from
+    there on, and ``pairs`` the cycle read from there as pair letters:
+    2 * interior + (interior XOR next interior), that is (F,SP) = 0,
+    (F,RP) = 1, (SE,K) = 2 and (SE,RP) = 3.  Any byte of ``interior`` but
+    F or SE makes its letter 4 or more, so the cycle is valid exactly when
+    the letters' forced arcs are its boundary arcs.
+    """
+    if len(code) < 2:
+        return None
+    start = 1 if code[0] > 1 else 0
+    interior = code[start::2]
+    x = int.from_bytes(interior, "big")
+    after = int.from_bytes(interior[1:] + interior[:1], "big")
+    # each byte of the sum is at most 2 * 4 + 7, so no byte carries
+    pairs = (2 * x + (x ^ after)).to_bytes(len(interior), "big")
+    if pairs.translate(_PAIR_BOUNDARY) != code[start + 1::2] + code[:start]:
+        return None
+    return start, interior, pairs
+
+
 def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
     """All canonical words of admissible cycles with at most ``max_len`` edges.
 
@@ -212,18 +251,46 @@ def valid_cycle_words(max_len: int) -> tuple[Cycle, ...]:
     return tuple(sorted(found))
 
 
+# Words of at most this many letters go straight to the two-pointer scan,
+# which is faster on them than the run search (crossover at about 20-24
+# letters on CPython 3.11).
+_RUNS_FROM = 32
+
+
 def _least_rotation(word: bytes) -> int:
     """Start of the lexicographically least rotation of ``word``.
 
-    Two-pointer scan: ``i < j`` are the two best candidate starts and ``k``
-    the length of their common prefix.  At the first mismatch the larger
-    candidate, together with the next ``k`` starts after it, cannot begin a
-    least rotation, so it jumps past them; the scan ends when ``j`` runs off
-    the word or the prefix covers it.  Each step advances ``i + j + k``,
-    which stays below ``3n``: O(n) comparisons.
+    A least rotation starts a longest run of the least letter.  On a word
+    of more than ``_RUNS_FROM`` letters whose longest such run is shorter
+    than 64 letters and at most eight runs tie for longest, the rotations
+    at those runs are compared as ``bytes``: a few C-level searches find
+    the runs, and each comparison is a C-level copy and compare of n bytes.
+
+    Otherwise a two-pointer scan decides: ``i < j`` are the two best
+    candidate starts and ``k`` the length of their common prefix.  At the
+    first mismatch the larger candidate, together with the next ``k``
+    starts after it, cannot begin a least rotation, so it jumps past them;
+    the scan ends when ``j`` runs off the word or the prefix covers it.
+    Each step advances ``i + j + k``, which stays below ``3n``.  Both ways
+    take O(n) time.
     """
     n = len(word)
     doubled = word + word
+    if n > _RUNS_FROM:
+        # the least letter, found by C-level searches (``min`` would iterate)
+        low = bytes((next(value for value in range(256) if value in word),))
+        run = low
+        while len(run) < 64 and run + low in doubled:
+            run += low
+        if len(run) < 64:
+            starts = []
+            i = doubled.find(run)
+            while 0 <= i < n and len(starts) <= 8:
+                starts.append(i)
+                # longest runs never overlap
+                i = doubled.find(run, i + len(run))
+            if len(starts) <= 8:
+                return min(starts, key=lambda start: doubled[start:start + n])
     i, j, k = 0, 1, 0
     while j < n and k < n:
         a, b = doubled[i + k], doubled[j + k]
@@ -250,18 +317,34 @@ def canonicalize_cycle(cycle: Sequence[LabelLike]) -> Cycle:
     minimum-rotation scan (``_least_rotation``), run once on the word and
     once on its reversal, finds the two candidates in O(n) time, so the
     whole call is linear in the cycle length; the 2n rotations are never
-    built.
+    built.  For a valid cycle both scans run on pair words (module
+    docstring), of half the length; any other word is scanned in full.
     """
     return _canonical_word(as_cycle(cycle))
 
 
 def _canonical_word(word: Cycle) -> Cycle:
     """``canonicalize_cycle`` of a word already made of ``EdgeLabel``s."""
-    reverse = word[::-1]
-    forward, backward = bytes(word), bytes(reverse)
+    code = bytes(word)
+    found = _pair_word(code)
+    if found is None:
+        forward, backward, step, first, last = code, code[::-1], 1, 0, 0
+    else:
+        start, interior, forward = found
+        # the reversal's letters, last first: 2 * interior + (interior XOR
+        # the interior arc before it), written little-endian
+        x = int.from_bytes(interior, "big")
+        before = int.from_bytes(interior[-1:] + interior[:-1], "big")
+        backward = (2 * x + (x ^ before)).to_bytes(len(interior), "little")
+        # letter i starts at edge start + 2i of ``word``, and letter j of
+        # the reversal at edge 1 - start + 2j of ``word[::-1]``
+        step, first, last = 2, start, 1 - start
     i, j = _least_rotation(forward), _least_rotation(backward)
     if forward[i:] + forward[:i] <= backward[j:] + backward[:j]:
+        i = first + step * i
         return word[i:] + word[:i]
+    j = last + step * j
+    reverse = word[::-1]
     return reverse[j:] + reverse[:j]
 
 

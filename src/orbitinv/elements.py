@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Sequence
 
-from .invariants import ORIENTABLE, OrbitInvariants, _as_int, require_valid
+from .invariants import ORIENTABLE, OrbitInvariants, _as_int, _require, require_valid
 from .polyq import Poly, Scalar as Coeff, _poly, _render_sum, as_poly, exact
 
 
@@ -239,9 +239,15 @@ def cup(a: CohomElement, b: CohomElement) -> CohomElement:
     positive-degree classes vanishes, and on each fixed circle polynomials
     multiply with theta^2 = 0.  Degree-1 times degree-1 lands in the
     vanishing H^2 of the surface and in theta^2 terms, hence is always zero.
+    Anything but a ``CohomElement`` is a ``TypeError`` naming ``a`` or ``b``.
     """
-    a._check(b)
-    a_blocks, b_blocks = _blocks(a), _blocks(b)
+    try:
+        a._check(b)
+        a_blocks, b_blocks = _blocks(a), _blocks(b)
+    except (AttributeError, TypeError):
+        _require(a, CohomElement, "a")
+        _require(b, CohomElement, "b")
+        raise
     (pa, qa), (pb, qb) = a_blocks[4:], b_blocks[4:]
     aD, bD = a.D, b.D
     return CohomElement(a.ring, aD * bD,
@@ -255,14 +261,20 @@ def module_action(power: int, x: CohomElement) -> CohomElement:
     """Multiply by the degree-2 polynomial generator ``power`` times, i.e. cup
     with (sum_i u delta_i)^power: for power >= 1 the surface part vanishes
     and every p_i, q_i is shifted up by u^power.  A ``power`` that is not an
-    integer, a ``bool`` included, is a ``TypeError``."""
+    integer, a ``bool`` included, is a ``TypeError``, and so is an ``x``
+    that is not a ``CohomElement``."""
     power = _as_int(power, "power")
     if power < 0:
         raise ValueError("power must be nonnegative")
     if power == 0:
+        _require(x, CohomElement, "x")
         return x
     shift = (0,) * power
-    ring, blocks = x.ring, _blocks(x)
+    try:
+        ring, blocks = x.ring, _blocks(x)
+    except (AttributeError, TypeError):
+        _require(x, CohomElement, "x")
+        raise
     return CohomElement(ring, 0, *[(0,) * len(block) for block in blocks[:4]],
                         *[tuple([_poly([*shift, *pl.coeffs]) for pl in block])
                           for block in blocks[4:]])

@@ -210,10 +210,11 @@ def _as_int(value, name: str) -> int:
     return value
 
 
-def _require_datum(value, name: str) -> None:
-    """A ``TypeError`` naming the argument unless ``value`` is a datum."""
-    if not isinstance(value, OrbitInvariants):
-        raise TypeError(f"{name} must be an OrbitInvariants, got {value!r}")
+def _require(value, cls: type, name: str) -> None:
+    """A ``TypeError`` naming the argument unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {cls.__name__}, got {value!r}")
 
 
 _ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
@@ -245,7 +246,7 @@ def validate(inv: OrbitInvariants) -> ValidationReport:
     """Total admissibility check; violations are returned, never raised.
     Always runs in full, and records an ok verdict on ``inv``.  Anything
     but an ``OrbitInvariants`` is a ``TypeError``."""
-    _require_datum(inv, "inv")
+    _require(inv, OrbitInvariants, "inv")
     violations: list[Violation] = []
 
     def bad(condition: str, message: str) -> None:
@@ -334,7 +335,7 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
     total on data (anything else is a ``TypeError``), and returns ``inv``
     itself when no reduction changes a value, as for every admissible datum.
     """
-    _require_datum(inv, "inv")
+    _require(inv, OrbitInvariants, "inv")
     changed = False
     pairs = inv.pairs
     if inv.eps is NONORIENTABLE:
@@ -435,8 +436,8 @@ def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
 
 def equivalent(a: OrbitInvariants, b: OrbitInvariants) -> bool:
     """Decide equivariant diffeomorphism of the two described manifolds."""
-    _require_datum(a, "a")
-    _require_datum(b, "b")
+    _require(a, OrbitInvariants, "a")
+    _require(b, OrbitInvariants, "b")
     return canonical_form(a) == canonical_form(b)
 
 

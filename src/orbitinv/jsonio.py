@@ -16,7 +16,8 @@ text that holds no character JSON escapes by construction, which is copied
 as it is: field names, edge label names, the text of a datum with an ok
 verdict and the notes :func:`~orbitinv.capping.cap_off` builds
 (``capping._Notes``).  Within one call each datum object is written once,
-so a capping payload's ``datum`` and ``cap.input`` cost one.
+so a capping payload's ``datum`` and ``cap.input`` cost one, and each pairs
+tuple is sorted once, so a capping report's input and output share it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .invariants import (
     _as_int,
 )
 from .series import FixedSetShape, PoincareSeries
-from .textio import Diagnostic, _pair_order, serialize
+from .textio import Diagnostic, _pair_order, _text
 
 _dumps = json.dumps
 _label = LABEL_NAMES.__getitem__
@@ -73,8 +74,9 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
 
 
 def _write(obj: Any, upto: int, seen: dict) -> str:
-    """The JSON text of ``obj``; ``seen`` maps the id of each datum and of
-    each datum's pairs tuple written in this call to its JSON text."""
+    """The JSON text of ``obj``; ``seen`` maps the id of each datum written
+    in this call to its JSON text, and the id of each datum's pairs tuple to
+    their ``_pair_order`` and JSON text."""
     writer = _WRITERS.get(obj.__class__)
     if writer is not None:
         return writer(obj, upto, seen)
@@ -135,23 +137,25 @@ def _datum(inv: OrbitInvariants, upto: int, seen: dict) -> str:
 def _datum_text(inv: OrbitInvariants, seen: dict) -> str:
     eps, pairs = inv.eps, inv.pairs
     b, g, f, s, t = inv.b, inv.g, inv.f, inv.s, inv.t
-    text = serialize(inv)
     ok = _ADMISSIBLE in inv.__dict__
+    # a capping report's output holds its input's pairs, so both data share
+    # one ``_pair_order`` and one JSON list
+    shared = seen.get(id(pairs))
+    if shared is None:
+        mns = _pair_order(pairs)
+        if ok:  # int entries, which ``%d`` writes as int.__repr__ does
+            pairs_json = "[" + ", ".join(["[%d, %d]" % mn for mn in mns]) + "]"
+        else:
+            pairs_json = "[" + ", ".join(["[%s, %s]" % (_raw(m), _raw(n)) for m, n in mns]) + "]"
+        shared = seen[id(pairs)] = mns, pairs_json
+    mns, pairs_json = shared
+    text = _text(inv, mns)
     if ok:
         # every integer of an admissible datum is an exact int
         text, eps = '"' + text + '"', '"' + eps._value_ + '"'
     else:
         text, b, g, f, s, t = _quote(text), _raw(b), _raw(g), _raw(f), _raw(s), _raw(t)
         eps = _raw(eps._value_ if eps.__class__ is Orientability else eps)
-    # a capping report's output holds its input's pairs
-    pairs_json = seen.get(id(pairs))
-    if pairs_json is None:
-        mns = _pair_order(pairs)
-        if ok:  # int entries, which ``%d`` writes as int.__repr__ does
-            pairs_json = "[" + ", ".join(["[%d, %d]" % mn for mn in mns]) + "]"
-        else:
-            pairs_json = "[" + ", ".join(["[%s, %s]" % (_raw(m), _raw(n)) for m, n in mns]) + "]"
-        seen[id(pairs)] = pairs_json
     return _DATUM % (text, b, eps, g, f, s, t, pairs_json, _graph(inv.graph.cycles))
 
 

@@ -34,7 +34,7 @@ from .invariants import (
     OrbitInvariants,
     Orientability,
     SeifertPair,
-    _require_datum,
+    _require,
     _trusted,
     pair_mn,
 )
@@ -274,9 +274,9 @@ class _Parser:
 # quantifiers share a whitespace run and a failing match stays linear in the
 # input.  Counts and pair entries take a sign, as the lexer's integers do;
 # ``_match_datum`` declines a negative one, so ``-0`` reads as 0.
-_LABEL = re.compile("|".join(EdgeLabel.__members__))
+_LABEL = "|".join(EdgeLabel.__members__)
 _PAIR = r"\(\s*-?\d+\s*,\s*-?\d+\s*\)"
-_CYCLE = rf"<\s*(?:{_LABEL.pattern})(?:\s*,\s*(?:{_LABEL.pattern}))*\s*>"
+_CYCLE = rf"<\s*(?:{_LABEL})(?:\s*,\s*(?:{_LABEL}))*\s*>"
 _DATUM = re.compile(
     r"\s*\{\s*b\s*=\s*(-?\d+)\s*;"
     r"\s*\(\s*([on])\s*,\s*g\s*=\s*(-?\d+)\s*,\s*f\s*=\s*(-?\d+)\s*,\s*s\s*=\s*(-?\d+)"
@@ -309,7 +309,8 @@ def _match_datum(text: str) -> OrbitInvariants | None:
     except ValueError:
         return None
     labels = EdgeLabel.__members__
-    cycles = tuple(tuple(map(labels.__getitem__, _LABEL.findall(body)))
+    # the match admits only label names, commas and whitespace in a body
+    cycles = tuple(tuple(map(labels.__getitem__, "".join(body.split()).split(",")))
                    for body in _CYCLE_BODY.findall(graph or ""))
     return _trusted(b, Orientability(eps), g, f, s, t, pairs, CycleGraph._of_words(cycles))
 
@@ -320,9 +321,14 @@ def parse_with_diagnostics(text: str) -> tuple[OrbitInvariants | None, tuple[Dia
     Text is read by one anchored match (``_match_datum``); the token parser
     runs only on text the match declines, to explain why.
     Never raises on malformed input; any byte string that decodes as text is
-    acceptable and yields diagnostics at worst.
+    acceptable and yields diagnostics at worst.  Anything but a ``str`` is a
+    ``TypeError`` naming ``text``.
     """
-    datum = _match_datum(text)
+    try:
+        datum = _match_datum(text)
+    except TypeError:
+        _require(text, str, "text")
+        raise
     if datum is not None:
         return datum, ()
     return None, _Parser(text).diagnose()
@@ -358,19 +364,24 @@ def serialize(inv: OrbitInvariants) -> str:
     as its ``str``, so a datum that ``validate`` refuses still prints.
     Anything but a datum is a ``TypeError`` naming ``inv``."""
     try:
-        eps = inv.eps
-        # ``_value_`` is the member's stored value; ``.value`` would add a
-        # Python-level property call per datum to the census stream.
-        eps = eps._value_ if eps.__class__ is Orientability else eps
-        out = [f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"]
-        pairs, graph = inv.pairs, inv.graph
+        pairs = inv.pairs
+        return _text(inv, _pair_order(pairs) if pairs else [])
     except AttributeError:
         # checked only on failure, so a datum pays nothing for it
-        _require_datum(inv, "inv")
+        _require(inv, OrbitInvariants, "inv")
         raise
-    if pairs:
-        out.append(";" + ",".join(["(%s,%s)" % mn for mn in _pair_order(pairs)]))
+
+
+def _text(inv: OrbitInvariants, mns: list[tuple]) -> str:
+    """``serialize(inv)``, given its pairs' ``_pair_order`` as ``mns``."""
+    eps = inv.eps
+    # ``_value_`` is the member's stored value; ``.value`` would add a
+    # Python-level property call per datum to the census stream.
+    eps = eps._value_ if eps.__class__ is Orientability else eps
+    text = f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"
+    if mns:
+        text += ";" + ",".join(["(%s,%s)" % mn for mn in mns])
+    graph = inv.graph
     if graph:
-        out.append(";G=[" + graph.canonical_text + "]")
-    out.append("}")
-    return "".join(out)
+        text += ";G=[" + graph.canonical_text + "]"
+    return text + "}"

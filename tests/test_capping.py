@@ -35,6 +35,7 @@ from orbitinv import (
     orbit_space_poincare,
     parse,
     serialize,
+    valid_cycle_words,
     verify_capping,
 )
 from orbitinv.capping import _Notes, _cap_cycle
@@ -233,6 +234,13 @@ class TestClosedForm:
     def test_matches_union_find_surgery(self, interior):
         word = canonicalize_cycle(forced_cycle(interior))
         assert _cap_cycle(word) == reference_cap_cycle(word)
+
+    def test_rp_positions_on_every_valid_word_up_to_12(self):
+        words = valid_cycle_words(12)
+        assert len(words) == 2 + 3 + 4 + 6 + 8 + 13
+        for word in words:
+            rp = [i for i, lab in enumerate(word) if lab is EdgeLabel.RP]
+            assert [i for pair in _cap_cycle(word)[2] for i in pair] == rp, word
 
     def test_report_stream_pinned(self):
         # emit_json(cap_off(.)) over the with-boundary data of test_census's

@@ -1,17 +1,18 @@
 """The error contract of the public API, drawn by hypothesis.
 
 Every public entry point that takes a datum, a datum's fields and pairs, a
-census bound or an integer argument is called with ints, bools, floats,
+census bound or census bounds, an integer, the text of a datum, a
+cohomology class or a capping report is called with ints, bools, floats,
 ``Fraction``s, strings, ``None`` and numpy integers (where numpy imports)
-in every such argument, field and pair entry.  Each call returns, or raises
-a ``TypeError`` naming the argument or a ``ValueError`` (its subclasses
-``InvariantError``, ``CappingError``, ``RelationError`` and ``ContextError``
-included).  ``validate`` never raises on a datum and reports ``domain`` for
-exactly the non-integral values and the negative counts, and the
-constructor stores an integral value as the equal ``int`` and any other
-value as it is.  Text, scalar and cycle arguments (``parse``, ``Poly``,
-the cycle-word functions) and class arguments (``cup``'s, ``module_action``'s
-``x``) have contracts of their own and are not drawn here.
+in every such argument, field and pair entry, and with values of the
+argument's own kind.  Each call returns, or raises a ``TypeError`` naming
+the argument or a ``ValueError`` (its subclasses ``ParseError``,
+``InvariantError``, ``CappingError``, ``RelationError`` and
+``ContextError`` included).  ``validate`` never raises on a datum and
+reports ``domain`` for exactly the non-integral values and the negative
+counts, and the constructor stores an integral value as the equal ``int``
+and any other value as it is.  Scalar and cycle arguments (``Poly``, the
+cycle-word functions) have contracts of their own and are not drawn here.
 """
 
 import re
@@ -32,8 +33,10 @@ from orbitinv import (
     canonical_form,
     cap_off,
     classify_2d,
+    cup,
     derived_counts,
     emit_json,
+    enumerate_invariants,
     equivalent,
     equivariant_poincare,
     euler_number,
@@ -44,10 +47,13 @@ from orbitinv import (
     normalize,
     orbit_euler_characteristic,
     orbit_space_poincare,
+    parse,
+    parse_with_diagnostics,
     serialize,
     to_jsonable,
     valid_cycle_words,
     validate,
+    verify_capping,
 )
 
 from datum_helper import datum
@@ -88,7 +94,12 @@ DATA = FIELDS.map(build).filter(lambda inv: inv is not None)
 DATUM_ARGUMENTS = st.one_of(DATA, VALUES)
 RING = EquivariantCohomology(datum(f=2, s=1))
 ELEMENTS = st.sampled_from([RING.zero(), RING.unit(), RING.u_class(),
-                            RING.from_parts(C=(1, -1), q=(1, -1))])
+                            RING.from_parts(C=(1, -1), q=(1, -1)),
+                            EquivariantCohomology(datum(f=1)).unit()])
+REPORTS = st.sampled_from([cap_off(datum(f=1, t=1)),
+                           cap_off(datum(g=1, graph=[["F", "RP", "SE", "RP"]]))])
+TEXTS = st.sampled_from(["{b=0;(o,g=0,f=1,s=0,t=0)}", "{b=1;(o,g=0,f=1,s=0,t=0)}",
+                         "{b=0;(o,g=0,f=0,s=0,t=0);G=[<F,SP>]}", "{b=0;(", "<F,SP>"])
 SERIES = st.sampled_from([PoincareSeries(()), equivariant_poincare(datum(f=2)),
                           equivariant_poincare(datum(g=1, t=1)),
                           equivariant_poincare(datum(b=1, pairs=[(3, 1)]))])
@@ -108,7 +119,15 @@ ENTRY_POINTS = {
                     JSON_FORM),
     "classify_2d": (classify_2d, {"boundary": VALUES, "fixed": VALUES, "special": VALUES},
                     None),
-    "module_action": (module_action, {"power": VALUES, "x": ELEMENTS}, None),
+    "module_action": (module_action, {"power": VALUES, "x": st.one_of(ELEMENTS, VALUES)},
+                      None),
+    "cup": (cup, {"a": st.one_of(ELEMENTS, VALUES), "b": st.one_of(ELEMENTS, VALUES)}, None),
+    **{function.__name__: (function, {"text": st.one_of(TEXTS, st.text(max_size=8), VALUES)},
+                           None)
+       for function in (parse, parse_with_diagnostics)},
+    "verify_capping": (verify_capping, {"report": st.one_of(REPORTS, DATA, VALUES)}, None),
+    "enumerate_invariants": (lambda bounds: next(enumerate_invariants(bounds), None), {
+        "bounds": st.one_of(st.just(EnumerationBounds(max_f=1)), VALUES)}, None),
     "coefficient": (lambda series, k: series.coefficient(k), {"series": SERIES, "k": VALUES},
                     None),
     "expansion": (lambda series, upto: series.expansion(upto),

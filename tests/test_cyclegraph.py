@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orbitinv import (
     CycleGraph,
@@ -17,6 +17,7 @@ from orbitinv import (
     validate_graph,
     vertex_labels,
 )
+from orbitinv.cyclegraph import _least_rotation
 
 F, SE, SP, K, RP = EdgeLabel.F, EdgeLabel.SE, EdgeLabel.SP, EdgeLabel.K, EdgeLabel.RP
 ALL_LABELS = [F, SE, SP, K, RP]
@@ -66,6 +67,39 @@ def forced_cycle(interior):
     for i, lab in enumerate(interior):
         word += (lab, boundary[lab, interior[(i + 1) % len(interior)]])
     return tuple(word)
+
+
+FORCED = {(F, F): SP, (SE, SE): K, (F, SE): RP, (SE, F): RP}
+# The per-edge scan's message at an edge, by its left, own and right labels;
+# None where the edge breaks no rule.
+EDGE_MESSAGES = {}
+for left, lab, right in itertools.product(ALL_LABELS, repeat=3):
+    if lab.interior is right.interior:
+        EDGE_MESSAGES[left, lab, right] = (
+            f"{lab.name} arc next to {right.name}; interior (F, SE) and boundary "
+            "(SP, K, RP) arcs must alternate")
+    elif left.interior and not lab.interior and lab is not FORCED[left, right]:
+        EDGE_MESSAGES[left, lab, right] = (
+            f"{lab.name} arc between {left.name} and {right.name}; "
+            f"only {FORCED[left, right].name} may join them")
+    else:
+        EDGE_MESSAGES[left, lab, right] = None
+
+
+def per_edge_violations(cycles):
+    """Oracle: the forcing rule checked edge by edge over every cycle, with
+    the library's messages."""
+    found = []
+    for ci, cycle in enumerate(cycles):
+        n = len(cycle)
+        if n < 2:
+            found.append((ci, None, f"cycle has {n} edge(s); at least 2 are required"))
+            continue
+        for i in range(n):
+            message = EDGE_MESSAGES[cycle[i - 1], cycle[i], cycle[(i + 1) % n]]
+            if message is not None:
+                found.append((ci, i, message))
+    return found
 
 
 def assert_located(word, report):
@@ -126,6 +160,18 @@ class TestValidateGraph:
         # 2^k binary interior words per length 2k, each starting at either kind
         assert accepted == sum(2 * 2 ** k for k in (1, 2, 3))
 
+    def test_violations_match_per_edge_scan_on_every_word_up_to_8(self):
+        """Cycles that pass the pair-word check and cycles the per-edge scan
+        locates give the violations, messages included, of the scan alone."""
+        for length in range(9):
+            # one graph per prefix of two labels, to bound the memory held
+            for head in itertools.product(ALL_LABELS, repeat=min(length, 2)):
+                words = [head + tail for tail in itertools.product(ALL_LABELS,
+                                                                   repeat=length - len(head))]
+                report = validate_graph(CycleGraph._of_words(tuple(words)))
+                got = [(v.cycle, v.position, v.message) for v in report.violations]
+                assert got == per_edge_violations(words), head
+
     @given(st.lists(st.sampled_from([F, SE]), min_size=1, max_size=32),
            st.lists(st.tuples(st.integers(0, 63), st.sampled_from(ALL_LABELS)), max_size=2))
     def test_matches_reference_on_mutated_forced_cycles(self, interior, mutations):
@@ -174,6 +220,42 @@ class TestCanonicalWord:
         shift %= len(word)
         word = word[shift:] + word[:shift]
         assert canonicalize_cycle(word) == brute_canonical(word)
+
+    @given(st.lists(st.sampled_from([F, SE]), min_size=1, max_size=32),
+           st.integers(0, 63), st.booleans(), st.integers(1, 32))
+    @example([F, SE], 3, True, 16)  # (F,RP,SE,RP) x 16
+    @example([F], 1, False, 32)  # (F,SP) x 32
+    @example([SE], 5, True, 32)  # (SE,K) x 32
+    def test_valid_cycles_match_brute_force(self, interior, shift, reflect, repeats):
+        """Valid cycles of up to 64 edges are canonicalized on pair words:
+        presented at any rotation (an odd one starts on a boundary arc),
+        reflected or not, and as periodic words."""
+        word = forced_cycle(interior * min(repeats, 32 // len(interior)))
+        shift %= len(word)
+        moved = word[shift:] + word[:shift]
+        if reflect:
+            moved = moved[::-1]
+        assert canonicalize_cycle(moved) == brute_canonical(word)
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 3), max_size=300),
+        # periodic words, where many runs tie
+        st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.integers(1, 80))
+        .map(lambda drawn: drawn[0] * drawn[1]),
+        # a run of the least letter up to twice the length the run search takes
+        st.tuples(st.integers(0, 130), st.lists(st.integers(1, 3), max_size=200))
+        .map(lambda drawn: [0] * drawn[0] + drawn[1]),
+        # two to ten longest runs of the least letter, whose rotations must
+        # be compared
+        st.tuples(st.integers(1, 5),
+                  st.lists(st.lists(st.integers(1, 2), min_size=16, max_size=24),
+                           min_size=2, max_size=10))
+        .map(lambda drawn: [x for tail in drawn[1] for x in [0] * drawn[0] + tail])))
+    def test_least_rotation_matches_brute_force(self, letters):
+        word = bytes(letters)
+        i = _least_rotation(word)
+        assert word[i:] + word[:i] == min([word[j:] + word[:j] for j in range(len(word))],
+                                          default=b"")
 
     def test_matches_brute_force_on_every_word_up_to_6(self):
         count = 0
