@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .cyclegraph import Cycle, EdgeLabel, _render_word
+from .cyclegraph import Cycle, EdgeLabel
 from .invariants import (ORIENTABLE, EMPTY_GRAPH, OrbitInvariants, _require, _trusted,
                          require_valid, validate)
 
@@ -136,11 +136,11 @@ def cap_off(inv: OrbitInvariants) -> CappingReport:
 
     new_f = new_se = 0
     pairings: list[tuple[int, tuple[int, int]]] = []
-    for ci, word in enumerate(inv.graph.canonical_words):
+    graph = inv.graph
+    for ci, (word, shown) in enumerate(zip(graph.canonical_words, graph.rendered_words)):
         cf, cse, pairs = _cap_cycle(word)
         new_f += cf
         new_se += cse
-        shown = _render_word(word)
         for pair in pairs:
             pairings.append((ci, pair))
             notes.append(f"cycle {ci} {shown}: sewed RP arcs at "

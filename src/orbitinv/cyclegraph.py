@@ -132,10 +132,16 @@ class CycleGraph:
         return graph_canonical(self)
 
     @cached_property
-    def canonical_text(self) -> str:
-        """The canonical words rendered as ``<...>,<...>``, computed once per
+    def rendered_words(self) -> tuple[str, ...]:
+        """The canonical words rendered as ``<...>``, computed once per
         instance like ``canonical_words``."""
-        return ",".join(map(_render_word, self.canonical_words))
+        return tuple(map(_render_word, self.canonical_words))
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """The rendered words joined as ``<...>,<...>``, computed once per
+        instance."""
+        return ",".join(self.rendered_words)
 
 
 EMPTY_GRAPH = CycleGraph()

@@ -35,8 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
-from operator import attrgetter
-from typing import Union
+from typing import NamedTuple
 
 from .cyclegraph import (
     EMPTY_GRAPH,
@@ -67,9 +66,9 @@ ORIENTABLE = Orientability.ORIENTABLE
 NONORIENTABLE = Orientability.NONORIENTABLE
 
 
-@dataclass(frozen=True, order=True)
-class SeifertPair:
-    """Coprime pair (m, n) attached to an exceptional orbit with isotropy Z/m."""
+class SeifertPair(NamedTuple):
+    """Coprime pair (m, n) attached to an exceptional orbit with isotropy Z/m.
+    A tuple: it equals, orders and hashes as ``(m, n)``."""
 
     m: int
     n: int
@@ -78,21 +77,24 @@ class SeifertPair:
         return f"({self.m},{self.n})"
 
 
-PairLike = Union[SeifertPair, tuple]
-
-# Sorting the (m, n) tuples orders pairs exactly as SeifertPair's generated
-# comparison does, without a Python-level ``__lt__`` call per comparison.
-pair_mn = attrgetter("m", "n")
-
-
-def _as_pair(value: PairLike) -> SeifertPair:
-    """A pair, tuple or ``SeifertPair``, with its entries under
+def _as_pair(value: tuple) -> SeifertPair:
+    """A pair of two entries as a ``SeifertPair``, its entries under
     :func:`_integer`."""
     try:
-        m, n = pair_mn(value) if isinstance(value, SeifertPair) else value
+        m, n = value
     except (TypeError, ValueError):
         raise ValueError(f"a pair is two entries (m, n), got {value!r}") from None
     return SeifertPair(_integer(m), _integer(n))
+
+
+def _held(pairs: tuple[SeifertPair, ...]) -> tuple[SeifertPair, ...]:
+    """``pairs`` in the order a datum holds them: sorted, or as given when
+    two entries cannot be compared, as in a datum that ``validate`` refuses
+    for a pair entry's type."""
+    try:
+        return tuple(sorted(pairs))
+    except TypeError:
+        return pairs
 
 
 def _iterate(value, what: str):
@@ -111,12 +113,13 @@ def _as_graph(value) -> CycleGraph:
 
 @dataclass(frozen=True)
 class OrbitInvariants:
-    """The full classification datum.  Construction and :meth:`replace`
-    never validate: a new instance starts without a verdict, and
-    :func:`validate` records an ok one on the instance (see
-    :func:`require_valid`).  Only the census's data and capping outputs
-    carry an ok verdict from birth, since each is admissible by
-    construction; parsed, user-built, normalized and ``replace``d data do
+    """The full classification datum.  Its pairs, a multiset, are held
+    sorted (:func:`_held`), so data that differ only in pair order are
+    equal.  Construction and :meth:`replace` never validate: a new instance
+    starts without a verdict, and :func:`validate` records an ok one on the
+    instance (see :func:`require_valid`).  Only the census's data and
+    capping outputs carry an ok verdict from birth, since each is admissible
+    by construction; parsed, user-built, normalized and ``replace``d data do
     not."""
 
     b: int
@@ -134,7 +137,7 @@ class OrbitInvariants:
         if isinstance(self.eps, str):
             object.__setattr__(self, "eps", Orientability.from_letter(self.eps))
         pairs = _iterate(self.pairs, "pairs is an iterable of (m, n) pairs")
-        object.__setattr__(self, "pairs", tuple(_as_pair(p) for p in pairs))
+        object.__setattr__(self, "pairs", _held(tuple(map(_as_pair, pairs))))
         object.__setattr__(self, "graph", _as_graph(self.graph))
 
     @property
@@ -223,10 +226,10 @@ _ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
 def _trusted(b: int, eps: Orientability, g: int, f: int, s: int, t: int,
              pairs: tuple[SeifertPair, ...], graph: CycleGraph,
              admissible: bool = False) -> OrbitInvariants:
-    """An ``OrbitInvariants`` of parts already in their field types, built
-    without ``__post_init__``'s coercions; for data the library builds
-    itself.  ``admissible`` records an ok verdict, for data admissible by
-    construction."""
+    """An ``OrbitInvariants`` of parts already in their field types and
+    pairs already sorted, built without ``__post_init__``'s coercions; for
+    data the library builds itself.  ``admissible`` records an ok verdict,
+    for data admissible by construction."""
     inv = object.__new__(OrbitInvariants)
     fields = inv.__dict__
     fields["b"] = b
@@ -327,13 +330,14 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
 
     Three reductions are applied, each of which preserves the manifold:
     for nonorientable data every in-range pair (m, n) is replaced by
-    (m, min(n, m-n)); for nonorientable closed data without fixed or
-    special-exceptional circles b is reduced mod 2, and set to 0 outright
-    when some m_i = 2.  Anything else (a pair with gcd > 1, a bad graph, and
-    so on, including non-integer field values) is not normalizable and is
-    returned unchanged so that ``validate`` still reports it.  Idempotent and
-    total on data (anything else is a ``TypeError``), and returns ``inv``
-    itself when no reduction changes a value, as for every admissible datum.
+    (m, min(n, m-n)), and the pairs are sorted again; for nonorientable
+    closed data without fixed or special-exceptional circles b is reduced
+    mod 2, and set to 0 outright when some m_i = 2.  Anything else (a pair
+    with gcd > 1, a bad graph, and so on, including non-integer field
+    values) is not normalizable and is returned unchanged so that
+    ``validate`` still reports it.  Idempotent and total on data (anything
+    else is a ``TypeError``), and returns ``inv`` itself when no reduction
+    changes a value, as for every admissible datum.
     """
     _require(inv, OrbitInvariants, "inv")
     changed = False
@@ -345,7 +349,8 @@ def normalize(inv: OrbitInvariants) -> OrbitInvariants:
                 p = SeifertPair(p.m, p.m - p.n)
                 changed = True
             reduced.append(p)
-        pairs = tuple(reduced)
+        if changed:
+            pairs = _held(tuple(reduced))
     b = inv.b
     if (inv.eps is NONORIENTABLE and all(v.__class__ is int for v in (b, inv.f, inv.s, inv.t))
             and inv.f + inv.s + inv.t == 0 and not inv.graph):
@@ -416,7 +421,8 @@ class CanonicalForm:
 
 
 def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
-    """Normalize, then forget pair order and every cycle presentation.
+    """Normalize, then forget every cycle presentation; the pairs are held
+    sorted already.
 
     Raises :class:`InvariantError` naming the violations when the normalized
     datum is still inadmissible.
@@ -429,7 +435,7 @@ def canonical_form(inv: OrbitInvariants) -> CanonicalForm:
         f=norm.f,
         s=norm.s,
         t=norm.t,
-        pairs=tuple(sorted(norm.pairs, key=pair_mn)),
+        pairs=norm.pairs,
         graph_canon=norm.graph.canonical_words,
     )
 

@@ -15,9 +15,11 @@ by hand) is written as ``json.dumps`` writes it.  Strings are escaped by
 text that holds no character JSON escapes by construction, which is copied
 as it is: field names, edge label names, the text of a datum with an ok
 verdict and the notes :func:`~orbitinv.capping.cap_off` builds
-(``capping._Notes``).  Within one call each datum object is written once,
-so a capping payload's ``datum`` and ``cap.input`` cost one, and each pairs
-tuple is sorted once, so a capping report's input and output share it.
+(``capping._Notes``).  A datum's pairs are written in the order it holds
+them, which is sorted, so no output sorts.  Within one call each datum object
+is written once, so a capping payload's ``datum`` and ``cap.input`` cost one,
+and each pairs tuple's JSON list once, so a capping report's input and output
+share it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .invariants import (
     _as_int,
 )
 from .series import FixedSetShape, PoincareSeries
-from .textio import Diagnostic, _pair_order, _text
+from .textio import Diagnostic, serialize
 
 _dumps = json.dumps
 _label = LABEL_NAMES.__getitem__
@@ -75,8 +77,7 @@ def to_jsonable(obj: Any, expansion_upto: int = 10) -> Any:
 
 def _write(obj: Any, upto: int, seen: dict) -> str:
     """The JSON text of ``obj``; ``seen`` maps the id of each datum written
-    in this call to its JSON text, and the id of each datum's pairs tuple to
-    their ``_pair_order`` and JSON text."""
+    in this call, and of each datum's pairs tuple, to its JSON text."""
     writer = _WRITERS.get(obj.__class__)
     if writer is not None:
         return writer(obj, upto, seen)
@@ -139,17 +140,15 @@ def _datum_text(inv: OrbitInvariants, seen: dict) -> str:
     b, g, f, s, t = inv.b, inv.g, inv.f, inv.s, inv.t
     ok = _ADMISSIBLE in inv.__dict__
     # a capping report's output holds its input's pairs, so both data share
-    # one ``_pair_order`` and one JSON list
-    shared = seen.get(id(pairs))
-    if shared is None:
-        mns = _pair_order(pairs)
+    # one JSON list
+    pairs_json = seen.get(id(pairs))
+    if pairs_json is None:
         if ok:  # int entries, which ``%d`` writes as int.__repr__ does
-            pairs_json = "[" + ", ".join(["[%d, %d]" % mn for mn in mns]) + "]"
+            pairs_json = "[" + ", ".join(["[%d, %d]" % pair for pair in pairs]) + "]"
         else:
-            pairs_json = "[" + ", ".join(["[%s, %s]" % (_raw(m), _raw(n)) for m, n in mns]) + "]"
-        shared = seen[id(pairs)] = mns, pairs_json
-    mns, pairs_json = shared
-    text = _text(inv, mns)
+            pairs_json = "[" + ", ".join(["[%s, %s]" % (_raw(m), _raw(n)) for m, n in pairs]) + "]"
+        seen[id(pairs)] = pairs_json
+    text = serialize(inv)
     if ok:
         # every integer of an admissible datum is an exact int
         text, eps = '"' + text + '"', '"' + eps._value_ + '"'
@@ -160,7 +159,7 @@ def _datum_text(inv: OrbitInvariants, seen: dict) -> str:
 
 
 def _canonical(form: CanonicalForm, upto: int, seen: dict) -> str:
-    pairs = "[" + ", ".join(["[%s, %s]" % (_raw(p.m), _raw(p.n)) for p in form.pairs]) + "]"
+    pairs = "[" + ", ".join(["[%s, %s]" % (_raw(m), _raw(n)) for m, n in form.pairs]) + "]"
     return ('{"b": %s, "eps": %s, "g": %s, "f": %s, "s": %s, "t": %s, "pairs": %s, "graph": %s}'
             % (_raw(form.b), _raw(form.eps.value), _raw(form.g), _raw(form.f), _raw(form.s),
                _raw(form.t), pairs, _graph(form.graph_canon)))

@@ -36,7 +36,6 @@ from .invariants import (
     SeifertPair,
     _require,
     _trusted,
-    pair_mn,
 )
 
 
@@ -305,7 +304,8 @@ def _match_datum(text: str) -> OrbitInvariants | None:
         if min(g, f, s, t) < 0 or ("-" in pairs and any(map(int, _SIGNED.findall(pairs)))):
             return None
         nums = map(int, _NAT.findall(pairs))
-        pairs = tuple(map(SeifertPair, nums, nums))
+        # the order a datum holds: the (m, n) ints sorted, then each pair built once
+        pairs = tuple(map(SeifertPair._make, sorted(zip(nums, nums))))
     except ValueError:
         return None
     labels = EdgeLabel.__members__
@@ -343,45 +343,28 @@ def parse(text: str) -> OrbitInvariants:
     return datum
 
 
-def _pair_order(pairs: tuple[SeifertPair, ...]) -> list[tuple]:
-    """The ``(m, n)`` tuples of ``pairs`` sorted, the order ``SeifertPair``
-    defines; in their given order when two entries cannot be compared, as
-    in a datum that ``validate`` refuses for a pair entry's type.  The text
-    and the JSON of a datum list its pairs in this order."""
-    try:
-        return sorted(map(pair_mn, pairs))
-    except TypeError:
-        return list(map(pair_mn, pairs))
-
-
 def serialize(inv: OrbitInvariants) -> str:
-    """Canonical rendering: pairs sorted, cycles as canonical words, no
-    whitespace.  ``parse(serialize(x))`` equals ``x`` with its parts sorted;
-    no normalization of b or of the pairs is applied.  Pairs are ordered by
-    ``_pair_order``.  The graph segment is rendered once per ``CycleGraph``
-    instance (``canonical_text``) and reused, which is sound because graphs
-    are immutable.  A field outside its type, such as ``eps=None``, is written
-    as its ``str``, so a datum that ``validate`` refuses still prints.
-    Anything but a datum is a ``TypeError`` naming ``inv``."""
+    """Canonical rendering: pairs in the order the datum holds them (sorted,
+    see ``OrbitInvariants``), cycles as canonical words, no whitespace.
+    ``parse(serialize(x))`` equals ``x`` with its cycles as sorted canonical
+    words; no normalization of b or of the pairs is applied.  The graph
+    segment is rendered once per ``CycleGraph`` instance (``canonical_text``)
+    and reused, which is sound because graphs are immutable.  A field
+    outside its type, such as ``eps=None``, is written as its ``str``, so a
+    datum that ``validate`` refuses still prints.  Anything but a datum is a
+    ``TypeError`` naming ``inv``."""
     try:
-        pairs = inv.pairs
-        return _text(inv, _pair_order(pairs) if pairs else [])
+        eps, pairs, graph = inv.eps, inv.pairs, inv.graph
     except AttributeError:
         # checked only on failure, so a datum pays nothing for it
         _require(inv, OrbitInvariants, "inv")
         raise
-
-
-def _text(inv: OrbitInvariants, mns: list[tuple]) -> str:
-    """``serialize(inv)``, given its pairs' ``_pair_order`` as ``mns``."""
-    eps = inv.eps
     # ``_value_`` is the member's stored value; ``.value`` would add a
     # Python-level property call per datum to the census stream.
     eps = eps._value_ if eps.__class__ is Orientability else eps
     text = f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"
-    if mns:
-        text += ";" + ",".join(["(%s,%s)" % mn for mn in mns])
-    graph = inv.graph
+    if pairs:
+        text += ";" + ",".join(["(%s,%s)" % pair for pair in pairs])
     if graph:
         text += ";G=[" + graph.canonical_text + "]"
     return text + "}"

@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+import orbitinv.cyclegraph
 import orbitinv.invariants
 from orbitinv import (
     CappingError,
@@ -138,6 +139,21 @@ class TestCapOff:
             "other realizations",
             "obstruction b stays 0; no twisted refilling of a torus boundary needed",
         )
+
+
+    def test_words_rendered_once_per_graph(self, monkeypatch):
+        """``cap_off`` reads the words ``serialize`` rendered on the graph."""
+        inv = parse(CAP_INPUT)
+        graph = inv.graph
+        assert ";G=[" + ",".join(graph.rendered_words) + "]}" in serialize(inv)
+
+        def refuse(word):
+            raise AssertionError(f"rendered {word} again")
+
+        monkeypatch.setattr(orbitinv.cyclegraph, "_render_word", refuse)
+        notes = cap_off(inv).notes
+        for ci, shown in enumerate(graph.rendered_words):
+            assert any(note.startswith(f"cycle {ci} {shown} closed up") for note in notes)
 
 
 class TestVerifyCapping:

@@ -83,6 +83,11 @@ class TestFailureModes:
         code, out, _ = run(capsys, "validate", "{b=5;(o,g=2,f=0,s=0,t=0);(3,1)}")
         assert code == 0 and out.strip() == "ok"
 
+    def test_pairs_numbered_in_held_order(self, capsys):
+        code, out, err = run(capsys, "validate", "{b=0;(o,g=0,f=0,s=0,t=0);(5,1),(4,2)}")
+        assert code == 1 and out == ""
+        assert err.strip() == "condition 2: pair #0 (4,2): gcd(m, n) = 2 != 1"
+
     def test_parse_error_exits_one(self, capsys):
         code, _, err = run(capsys, "betti", "{b=0;(o,g=0,f=0,s=0,t=0);(4;2)}")
         assert code == 1 and "expected" in err

@@ -56,7 +56,7 @@ from orbitinv import (
     verify_capping,
 )
 
-from datum_helper import datum
+from datum_helper import datum, held_order
 from numpy_helper import numpy
 
 NUMPY = [] if numpy is None else [
@@ -168,7 +168,7 @@ def test_constructor_stores_integers_as_int_and_keeps_the_rest(fields):
     if inv is None:
         return
     given_values = [fields[name] for name in COUNTS]
-    given_values += [v for m, n, _ in fields["pairs"] for v in (m, n)]
+    given_values += [v for i in held_order(fields["pairs"]) for v in fields["pairs"][i][:2]]
     stored = [getattr(inv, name) for name in COUNTS]
     stored += [v for pair in inv.pairs for v in (pair.m, pair.n)]
     for value, kept in zip(given_values, stored):
@@ -189,7 +189,8 @@ def test_validate_reports_domain_for_exactly_the_non_integral_values(fields):
                for v in report.violations if v.condition == "domain"}
     expected = {name for name in COUNTS if not integral(fields[name])}
     expected |= {name for name in COUNTS[1:] if integral(fields[name]) and fields[name] < 0}
-    expected |= {f"pair #{i}" for i, (m, n, _) in enumerate(fields["pairs"])
+    held = [fields["pairs"][i] for i in held_order(fields["pairs"])]
+    expected |= {f"pair #{i}" for i, (m, n, _) in enumerate(held)
                  if not (integral(m) and integral(n))}
     if not isinstance(inv.eps, Orientability):
         expected.add("eps")

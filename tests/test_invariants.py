@@ -24,11 +24,12 @@ from orbitinv import (
     enumerate_invariants,
     equivalent,
     normalize,
+    parse,
     serialize,
     validate,
 )
 
-from datum_helper import datum
+from datum_helper import datum, held_order
 from numpy_helper import numpy, numpy_case
 
 
@@ -173,7 +174,8 @@ class TestPairEntries:
     @given(st.lists(st.tuples(PAIR_ENTRY, PAIR_ENTRY), max_size=3))
     def test_non_integral_entries_reported_never_truncated(self, pairs):
         inv = datum(g=1, pairs=pairs)
-        for given_pair, pair in zip(pairs, inv.pairs):
+        held = [pairs[i] for i in held_order(pairs)]
+        for given_pair, pair in zip(held, inv.pairs):
             for value, kept in zip(given_pair, (pair.m, pair.n)):
                 if integral(value):
                     assert type(kept) is int and kept == value
@@ -182,7 +184,7 @@ class TestPairEntries:
         report = validate(inv)
         domain = [v.message.split(" ", 2)[1] for v in report.violations
                   if v.condition == "domain"]
-        assert domain == [f"#{i}" for i, pair in enumerate(pairs)
+        assert domain == [f"#{i}" for i, pair in enumerate(held)
                           if not all(map(integral, pair))]
 
     @pytest.mark.parametrize("pair", [(3.7, 1), (Fraction(7, 2), 1), ("5", "2"),
@@ -204,6 +206,53 @@ class TestPairEntries:
     def test_non_iterable_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} is an iterable .*, got {value}$"):
             datum(**{field: value})
+
+
+class TestHeldOrder:
+    """A datum holds its pairs sorted, whatever order they were given in."""
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6)
+           .flatmap(lambda raw: st.tuples(st.just(raw), st.permutations(raw))))
+    def test_any_permutation_is_the_same_datum(self, drawn):
+        raw, shuffled = drawn
+        base = datum(g=1, pairs=raw)
+        text = "{b=0;(o,g=1,f=0,s=0,t=0)%s}" % "".join(
+            ";" + ",".join("(%d,%d)" % p for p in shuffled) if shuffled else "")
+        for other in (datum(g=1, pairs=shuffled), datum(g=1).replace(pairs=shuffled),
+                      base.replace(pairs=shuffled), parse(text)):
+            assert other.pairs == base.pairs == tuple(sorted(raw))
+            assert other == base and hash(other) == hash(base)
+            assert serialize(other) == serialize(base)
+
+    def test_normalize_sorts_reduced_pairs(self):
+        inv = parse("{b=0;(n,g=1,f=0,s=0,t=0);(7,3),(7,5)}")
+        assert inv.pairs == ((7, 3), (7, 5))
+        assert normalize(inv).pairs == ((7, 2), (7, 3))
+
+    def test_normalize_returns_admissible_data_themselves(self):
+        bounds = EnumerationBounds(max_g=1, max_f=1, max_t=1, max_r=2, max_m=7,
+                                   b_range=(-1, 1))
+        for inv in enumerate_invariants(bounds):
+            fresh = parse(serialize(inv))
+            assert normalize(inv) is inv and normalize(fresh) is fresh
+
+    def test_census_and_capping_hold_sorted_pairs(self):
+        bounds = EnumerationBounds(max_g=1, max_s=1, max_t=1, max_r=3, max_m=5,
+                                   max_cycles=1, max_cycle_len=4)
+        count = 0
+        for inv in enumerate_invariants(bounds):
+            outputs = [inv] if inv.closed else [inv, cap_off(inv).output]
+            for out in outputs:
+                assert list(out.pairs) == sorted(out.pairs)
+                assert all(type(p) is SeifertPair for p in out.pairs)
+            count += len(inv.pairs) > 1 and not inv.closed
+        assert count > 100
+
+    def test_seifert_pair_is_its_tuple(self):
+        pair = SeifertPair(2, 1)
+        assert pair == (2, 1) and hash(pair) == hash((2, 1)) and tuple(pair) == (2, 1)
+        assert repr(pair) == "SeifertPair(m=2, n=1)" and str(pair) == "(2,1)"
+        assert (pair.m, pair.n) == (2, 1) and SeifertPair(2, 1) < SeifertPair(3, 1)
 
 
 class TestNormalize:

@@ -221,14 +221,14 @@ class TestNestedPayloadPinned:
 
 class TestEachDatumOnce:
     def test_capping_payload_serializes_input_once(self, monkeypatch):
-        real = orbitinv.jsonio._text
+        real = orbitinv.jsonio.serialize
         calls = []
 
-        def counting(inv, mns):
+        def counting(inv):
             calls.append(inv)
-            return real(inv, mns)
+            return real(inv)
 
-        monkeypatch.setattr(orbitinv.jsonio, "_text", counting)
+        monkeypatch.setattr(orbitinv.jsonio, "serialize", counting)
         inv = parse("{b=0;(o,g=0,f=0,s=0,t=1);(3,1);G=[<F,RP,SE,RP>]}")
         report = cap_off(inv)
         text = emit_json({"datum": inv, "cap": report, "again": [inv, report]})
@@ -238,28 +238,6 @@ class TestEachDatumOnce:
         assert doc["cap"] == doc["again"][1]
         emit_json(inv)
         assert len(calls) == 3  # a new call writes the datum afresh
-
-    def test_capping_report_sorts_its_pairs_once(self, monkeypatch):
-        """The input's text and JSON pairs and the output's text share one
-        ``_pair_order`` per call."""
-        real = orbitinv.textio._pair_order
-        calls = []
-
-        def counting(pairs):
-            calls.append(pairs)
-            return real(pairs)
-
-        monkeypatch.setattr(orbitinv.jsonio, "_pair_order", counting)
-        monkeypatch.setattr(orbitinv.textio, "_pair_order", counting)
-        report = cap_off(parse("{b=0;(o,g=0,f=0,s=0,t=1);(5,2),(3,1);G=[<F,RP,SE,RP>]}"))
-        text = emit_json(report)
-        assert [id(pairs) for pairs in calls] == [id(report.input.pairs)]
-        doc = json.loads(text)
-        assert doc["input"]["pairs"] == doc["output"]["pairs"] == [[3, 1], [5, 2]]
-        assert doc["input"]["text"].startswith("{b=0;(o,g=0,f=0,s=0,t=1);(3,1),(5,2);")
-        assert doc["output"]["text"] == "{b=0;(o,g=0,f=1,s=1,t=0);(3,1),(5,2)}"
-        emit_json(report)
-        assert len(calls) == 2  # a new call sorts afresh
 
 
 class TestExpansionUpto:
