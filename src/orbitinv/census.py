@@ -12,8 +12,12 @@ or remembered, so memory does not grow with the stream.
 Each datum is built from parts already in their field types, without the
 public constructor's coercions, and carries an ok admissibility verdict
 from birth: operations on it run no ``validate`` (see
-``invariants.require_valid``).  Parsed, user-built and ``replace``d data
-carry none.
+``invariants.require_valid``).  It carries its text from birth as well,
+which ``textio.serialize`` returns: the head, pair and graph segments of
+the notation are rendered once per stratum, pair multiset and graph by
+``textio``'s renderers, and each datum joins b and the three through
+``textio``'s template.  Parsed, user-built and ``replace``d data carry
+neither.
 """
 
 from __future__ import annotations
@@ -61,11 +65,13 @@ class EnumerationBounds:
 
 
 def _graphs(bounds: EnumerationBounds) -> list[CycleGraph]:
+    # the words are canonical and sorted, so each multiset drawn from them in
+    # order is its graph's canonical words
     words = valid_cycle_words(bounds.max_cycle_len) if bounds.max_cycles else ()
     graphs = [CycleGraph()]
     for count in range(1, bounds.max_cycles + 1):
         for combo in combinations_with_replacement(words, count):
-            graphs.append(CycleGraph(combo))
+            graphs.append(CycleGraph._of_canonical_words(combo))
     return graphs
 
 
@@ -92,20 +98,25 @@ def enumerate_invariants(bounds: EnumerationBounds) -> Iterator[OrbitInvariants]
     own canonical form.  Anything but an :class:`EnumerationBounds` is a
     ``TypeError`` naming ``bounds``, raised when the stream is first read.
     """
+    # loaded on the first read of the stream, so that importing the census
+    # or building its bounds loads no notation
+    from .textio import _TEMPLATE, _graph_segment, _head, _pairs_segment
+
     try:
-        graphs = _graphs(bounds)
+        graphs = [(graph, _graph_segment(graph)) for graph in _graphs(bounds)]
         lo, hi = bounds.b_range
     except AttributeError:
         _require(bounds, EnumerationBounds, "bounds")
         raise
     for eps in (ORIENTABLE, NONORIENTABLE):
-        pair_multisets = _pairs_for(eps, bounds)
+        pair_multisets = [(pairs, _pairs_segment(pairs)) for pairs in _pairs_for(eps, bounds)]
         for g in range(0 if eps is ORIENTABLE else 1, bounds.max_g + 1):
             for f in range(0, bounds.max_f + 1):
                 for s in range(0, bounds.max_s + 1):
                     for t in range(0, bounds.max_t + 1):
-                        for graph in graphs:
-                            for pairs in pair_multisets:
+                        head = _head(eps, g, f, s, t)
+                        for graph, graph_text in graphs:
+                            for pairs, pairs_text in pair_multisets:
                                 if f + s + t > 0 or graph:
                                     bs = (0,)
                                 elif eps is NONORIENTABLE:
@@ -114,5 +125,6 @@ def enumerate_invariants(bounds: EnumerationBounds) -> Iterator[OrbitInvariants]
                                 else:
                                     bs = tuple(range(lo, hi + 1))
                                 for b in bs:
+                                    text = _TEMPLATE % (b, head, pairs_text, graph_text)
                                     yield _trusted(b, eps, g, f, s, t, pairs, graph,
-                                                   admissible=True)
+                                                   admissible=True, text=text)

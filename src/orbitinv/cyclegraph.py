@@ -112,6 +112,14 @@ class CycleGraph:
         graph.__dict__["cycles"] = cycles
         return graph
 
+    @classmethod
+    def _of_canonical_words(cls, words: tuple[Cycle, ...]) -> "CycleGraph":
+        """A graph of canonical words in sorted order, which are therefore
+        its ``canonical_words`` as they stand, with nothing recomputed."""
+        graph = cls._of_words(words)
+        graph.__dict__["canonical_words"] = words
+        return graph
+
     def __len__(self) -> int:
         return len(self.cycles)
 

@@ -131,6 +131,11 @@ class OrbitInvariants:
     pairs: tuple[SeifertPair, ...] = ()
     graph: CycleGraph = EMPTY_GRAPH
 
+    # The text a census datum carries from birth (``_trusted``), which
+    # ``textio.serialize`` returns; not a field, and ``None`` on every other
+    # datum, read from the class so that its fields stay fast to read.
+    _text = None
+
     def __post_init__(self) -> None:
         for name in ("b", "g", "f", "s", "t"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
@@ -225,11 +230,12 @@ _ADMISSIBLE = "_admissible"  # the ok verdict's key in __dict__; not a field
 
 def _trusted(b: int, eps: Orientability, g: int, f: int, s: int, t: int,
              pairs: tuple[SeifertPair, ...], graph: CycleGraph,
-             admissible: bool = False) -> OrbitInvariants:
+             admissible: bool = False, text: str | None = None) -> OrbitInvariants:
     """An ``OrbitInvariants`` of parts already in their field types and
     pairs already sorted, built without ``__post_init__``'s coercions; for
     data the library builds itself.  ``admissible`` records an ok verdict,
-    for data admissible by construction."""
+    for data admissible by construction, and ``text`` the datum's
+    ``serialize`` text, for data rendered as they are built (the census)."""
     inv = object.__new__(OrbitInvariants)
     fields = inv.__dict__
     fields["b"] = b
@@ -242,6 +248,8 @@ def _trusted(b: int, eps: Orientability, g: int, f: int, s: int, t: int,
     fields["graph"] = graph
     if admissible:
         fields[_ADMISSIBLE] = True
+    if text is not None:
+        fields["_text"] = text
     return inv
 
 

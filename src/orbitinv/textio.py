@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 
 from .cyclegraph import CycleGraph, EdgeLabel
 from .invariants import (
@@ -304,8 +304,9 @@ def _match_datum(text: str) -> OrbitInvariants | None:
         if min(g, f, s, t) < 0 or ("-" in pairs and any(map(int, _SIGNED.findall(pairs)))):
             return None
         nums = map(int, _NAT.findall(pairs))
-        # the order a datum holds: the (m, n) ints sorted, then each pair built once
-        pairs = tuple(map(SeifertPair._make, sorted(zip(nums, nums))))
+        # the order a datum holds: the (m, n) ints sorted, then each pair built
+        # once, by the tuple constructor that ``SeifertPair._make`` wraps
+        pairs = tuple(map(tuple.__new__, repeat(SeifertPair), sorted(zip(nums, nums))))
     except ValueError:
         return None
     labels = EdgeLabel.__members__
@@ -343,28 +344,50 @@ def parse(text: str) -> OrbitInvariants:
     return datum
 
 
+# The notation, stated once: ``_TEMPLATE % (b, head, pairs, graph)`` with the
+# three segments below.  The census renders each segment once per stratum
+# and joins them through the same template.
+_TEMPLATE = "{b=%s;%s%s%s}"
+
+
+def _head(eps, g, f, s, t) -> str:
+    """The head segment ``(eps,g=…,f=…,s=…,t=…)``."""
+    # ``_value_`` is the member's stored value; ``.value`` would add a
+    # Python-level property call per datum.
+    eps = eps._value_ if eps.__class__ is Orientability else eps
+    return f"({eps},g={g},f={f},s={s},t={t})"
+
+
+def _pairs_segment(pairs: tuple[SeifertPair, ...]) -> str:
+    """The pair segment ``;(m,n),…`` in the held order, or ``""``."""
+    return ";" + ",".join(["(%s,%s)" % pair for pair in pairs]) if pairs else ""
+
+
+def _graph_segment(graph: CycleGraph) -> str:
+    """The graph segment ``;G=[<…>,…]`` of canonical words, or ``""``."""
+    return ";G=[" + graph.canonical_text + "]" if graph else ""
+
+
 def serialize(inv: OrbitInvariants) -> str:
     """Canonical rendering: pairs in the order the datum holds them (sorted,
     see ``OrbitInvariants``), cycles as canonical words, no whitespace.
     ``parse(serialize(x))`` equals ``x`` with its cycles as sorted canonical
-    words; no normalization of b or of the pairs is applied.  The graph
-    segment is rendered once per ``CycleGraph`` instance (``canonical_text``)
-    and reused, which is sound because graphs are immutable.  A field
-    outside its type, such as ``eps=None``, is written as its ``str``, so a
-    datum that ``validate`` refuses still prints.  Anything but a datum is a
-    ``TypeError`` naming ``inv``."""
+    words; no normalization of b or of the pairs is applied.  A census datum
+    carries this text from birth, and it is returned as it is; any other
+    datum is composed from its fields.  The graph segment is rendered once
+    per ``CycleGraph`` instance (``canonical_text``) and reused, which is
+    sound because graphs are immutable.  A field outside its type, such as
+    ``eps=None``, is written as its ``str``, so a datum that ``validate``
+    refuses still prints.  Anything but a datum is a ``TypeError`` naming
+    ``inv``."""
+    text = inv._text if inv.__class__ is OrbitInvariants else None
+    if text is not None:
+        return text
     try:
         eps, pairs, graph = inv.eps, inv.pairs, inv.graph
     except AttributeError:
         # checked only on failure, so a datum pays nothing for it
         _require(inv, OrbitInvariants, "inv")
         raise
-    # ``_value_`` is the member's stored value; ``.value`` would add a
-    # Python-level property call per datum to the census stream.
-    eps = eps._value_ if eps.__class__ is Orientability else eps
-    text = f"{{b={inv.b};({eps},g={inv.g},f={inv.f},s={inv.s},t={inv.t})"
-    if pairs:
-        text += ";" + ",".join(["(%s,%s)" % pair for pair in pairs])
-    if graph:
-        text += ";G=[" + graph.canonical_text + "]"
-    return text + "}"
+    return _TEMPLATE % (inv.b, _head(eps, inv.g, inv.f, inv.s, inv.t),
+                        _pairs_segment(pairs), _graph_segment(graph))

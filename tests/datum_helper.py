@@ -13,9 +13,10 @@ def datum(b=0, eps="o", g=0, f=0, s=0, t=0, pairs=(), graph=()):
 def held_order(pairs) -> list[int]:
     """The positions of the given ``(m, n)`` pairs in the order a datum
     holds them: sorted with integral entries as ``int``, or as given when
-    two entries cannot be compared."""
+    two entries cannot be compared.  Only ``(m, n)`` is compared, so pairs
+    that tie keep their given order whatever else a drawn pair carries."""
     keys = [tuple(int(v) if isinstance(v, Integral) and not isinstance(v, bool) else v
-                  for v in pair) for pair in pairs]
+                  for v in pair[:2]) for pair in pairs]
     try:
         return sorted(range(len(keys)), key=keys.__getitem__)
     except TypeError:

@@ -313,6 +313,18 @@ class TestNotesJson:
         nested = {"cap": others[0], "notes": others[0].notes}
         assert emit_json(nested) == json.dumps(to_jsonable(nested))
 
+    def test_hand_built_pairings_written_as_json_dumps(self):
+        report = cap_off(parse(CAP_INPUT))
+        assert report.rp_pairings and json.loads(emit_json(report))["rp_pairings"] == [
+            {"cycle": ci, "positions": list(pos)} for ci, pos in report.rp_pairings]
+        pairings = ((0, (True, 2)), (False, (1, 3)))
+        for hand in (CappingReport(report.input, report.output, report.chi_before,
+                                   report.chi_after, pairings, tuple(report.notes)),
+                     dataclasses.replace(report, rp_pairings=pairings)):
+            assert emit_json(hand) == json.dumps(to_jsonable(hand))
+            assert ('"rp_pairings": [{"cycle": 0, "positions": [true, 2]}, '
+                    '{"cycle": false, "positions": [1, 3]}]') in emit_json(hand)
+
     def test_empty_notes(self):
         report = cap_off(parse(CAP_INPUT))
         for notes in (_Notes(), ()):

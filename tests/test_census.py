@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import pickle
+import re
+import types
 
 import pytest
 
@@ -16,6 +18,7 @@ from orbitinv import (
     canonical_form,
     cap_off,
     enumerate_invariants,
+    normalize,
     parse,
     serialize,
     valid_cycle_words,
@@ -176,6 +179,8 @@ class TestTrustedConstruction:
         for inv in enumerate_invariants(TestCensusProperties.BOUNDS):
             rebuilt = public_rebuild(inv)
             assert_same_datum(inv, rebuilt)
+            # the text each census datum carries from birth is right
+            assert serialize(inv) == serialize(rebuilt)
             # the verdict each census datum carries from birth is right
             assert validate(rebuilt).ok
             parsed = parse(serialize(inv))
@@ -187,3 +192,47 @@ class TestTrustedConstruction:
                 assert output == inv.replace(b=0, f=output.f, s=output.s, t=0, graph=())
             count += 1
         assert count == 8910
+
+
+class TestBornText:
+    """A census datum carries its ``serialize`` text from birth; the text
+    travels with the datum's copies and nowhere else."""
+
+    BOUNDS = EnumerationBounds(max_g=1, max_f=1, max_t=1, max_r=2, max_m=5,
+                               max_cycles=1, max_cycle_len=4, b_range=(-1, 1))
+
+    def census(self):
+        data = list(enumerate_invariants(self.BOUNDS))
+        assert all(inv._text is not None for inv in data) and len(data) > 100
+        return data
+
+    def test_copies_serialize_equal(self):
+        for inv in self.census():
+            text = serialize(inv)
+            for clone in (pickle.loads(pickle.dumps(inv)), copy.copy(inv), copy.deepcopy(inv)):
+                assert serialize(clone) == text == serialize(public_rebuild(clone))
+
+    def test_replace_serializes_its_own_fields(self):
+        for inv in self.census():
+            changed = inv.replace(b=inv.b + 7)
+            assert changed._text is None
+            assert serialize(changed) == serialize(public_rebuild(changed)) != serialize(inv)
+            assert serialize(changed).startswith("{b=%d;" % (inv.b + 7))
+
+    def test_parsed_normalized_and_capped_data_carry_none(self):
+        for inv in self.census():
+            parsed = parse(serialize(inv))
+            assert parsed._text is None and normalize(parsed)._text is None
+            if not inv.closed:
+                assert cap_off(inv).output._text is None
+
+    def test_public_data_read_the_class_default(self):
+        inv = OrbitInvariants(b=0, eps="o", g=0, f=1, s=0, t=0)
+        assert inv._text is None and "_text" not in vars(inv)
+
+    @pytest.mark.parametrize("text", ["{b=0;(o,g=0,f=0,s=0,t=0)}", None])
+    def test_non_datum_with_text_is_refused(self, text):
+        bad = types.SimpleNamespace(_text=text)
+        message = f"inv must be an OrbitInvariants, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            serialize(bad)

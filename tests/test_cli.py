@@ -1,7 +1,9 @@
 """Exit codes and rendered output of the command-line front end."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -498,3 +500,72 @@ class TestPinnedHelp:
             main(([command] if command else []) + ["--help"])
         captured = capsys.readouterr()
         assert (exit_.value.code, captured.out, captured.err) == (0, HELP[command], "")
+
+
+def long_cycles() -> list[str]:
+    """A seeded valid cycle of 4,000 edges, the same cycle rotated and
+    reflected, and the cycle with one boundary arc flipped."""
+    rng = random.Random(4000)
+    inner = [rng.choice(("F", "SE")) for _ in range(2000)]
+    word = [x for a, b in zip(inner, inner[1:] + inner[:1])
+            for x in (a, "SP" if a == b == "F" else "K" if a == b else "RP")]
+    flipped = word[:]
+    flipped[1] = {"SP": "K", "K": "SP", "RP": "SP"}[word[1]]
+    return ["{b=0;(o,g=1,f=1,s=0,t=1);(3,1),(5,2);G=[<%s>]}" % ",".join(cycle)
+            for cycle in (word, (word[1234:] + word[:1234])[::-1], flipped)]
+
+
+LONG = long_cycles()
+SERIES_DATA = ["{b=3;(o,g=1,f=0,s=0,t=0)}", "{b=0;(o,g=1,f=2,s=1,t=0)}",
+               "{b=0;(n,g=2,f=1,s=0,t=1);G=[<F,RP,SE,RP>]}"]
+EDGE_DATA = ["{b=0;(n,g=2,f=1,s=0,t=1);G=[<F,RP,SE,RP>]}", "{b=0;(o,g=0,f=1,s=0,t=0)}"]
+REPEATED = ",".join(["F,RP,SE,RP"] * 250)
+# The "Console script" digests of .github/workflows/tier1.yml: per name, the
+# commands (argv and exit code) whose stdout, concatenated, hashes to the
+# value there.
+CONSOLE_DIGESTS = {
+    "census": ([(["enumerate", "--bounds", "max_g=1", "max_f=2", "max_cycles=1",
+                  "max_cycle_len=4"], 0)],
+               "a203d1fc5cea82848debbd27722a35f78151507712b3fb3980e19af81f0ab005"),
+    "series": ([(["poincare", d, "--upto", "7", "--json"], 0) for d in SERIES_DATA],
+               "6e9678fd24d07134a482dee817e90b2eada58ea653d70ca8d3a38d8ad4fd4f9e"),
+    "json": ([(["validate", "--json", "{b=1;(o,g=0,f=1,s=0,t=0);G=[<F,SE>]}"], 1),
+              (["validate", "--json", "{b=5;(o,g=2,f=0,s=0,t=0);(3,1)}"], 0),
+              (["canon", "--json", "{b=3;(n,g=1,f=0,s=0,t=0);(5,4)}"], 0),
+              (["cap", "--json", "{b=0;(o,g=0,f=0,s=0,t=1);G=[<F,RP,SE,RP>]}"], 0),
+              (["formal", "--json", "{b=0;(o,g=0,f=3,s=0,t=0)}"], 0),
+              (["formal", "--json", "{b=0;(o,g=1,f=2,s=1,t=0)}"], 0),
+              (["euler", "--json", "{b=1;(o,g=0,f=0,s=0,t=0);(3,2),(5,3)}"], 0)],
+             "fbe19319b23ca415a6ad634361c9823f755750c4185d90a2ea52d0b1c6b75949"),
+    "shuffled": ([(["canon", "--json", "{b=3;(n,g=1,f=0,s=0,t=0);(7,5),(5,4),(7,3),(3,1)}"], 0),
+                  (["cap", "--json",
+                    "{b=0;(n,g=1,f=0,s=0,t=1);(7,3),(3,1),(7,2);G=[<F,RP,SE,RP>]}"], 0),
+                  (["euler", "--json", "{b=1;(o,g=0,f=0,s=0,t=0);(5,3),(3,2),(5,2)}"], 0),
+                  (["equiv", "--json", "{b=0;(n,g=1,f=1,s=0,t=0);(7,5),(3,1)}",
+                    "{b=0;(n,g=1,f=1,s=0,t=0);(3,1),(7,2)}"], 0)],
+                 "e1b3ed0fdcfefc87deb5e455410ba380b90b645500458ec3872c83367b6cc27e"),
+    "cap": ([(["cap", "--json", "{b=0;(o,g=0,f=0,s=0,t=1);G=[<%s>]}" % REPEATED], 0),
+             (["cap", "--json", "{b=0;(n,g=1,f=0,s=1,t=1);(3,1),(5,2);"
+                                "G=[<F,SP>,<F,RP,SE,K,SE,RP,F,SP>,<SE,K,SE,K>,<F,RP,SE,RP>]}"],
+              0)],
+            "23406c61b8f95bb92e8a14c5afce32dbec9f01a985edd581b9514006764515d7"),
+    "edges": ([(["poincare", "--json", "--upto", u, d], 0)
+               for d in EDGE_DATA for u in ("0", "1", "2", "25")],
+              "5dbffb8ac4b28ad97387bf5f28411c1b9fb2310ab805695b3e4dffdf61234991"),
+    "long": ([(["canon", "--json", LONG[0]], 0), (["canon", "--json", LONG[1]], 0),
+              (["cap", "--json", LONG[0]], 0), (["validate", "--json", LONG[2]], 1)],
+             "e2900069f895f533c2d7870593e9a7223aed4635c0ad5df240e7fc0ffe5d292a"),
+}
+
+
+class TestConsoleScriptDigests:
+    """The CI's console-script digests, run through ``main`` in process."""
+
+    @pytest.mark.parametrize("name", CONSOLE_DIGESTS)
+    def test_stdout_digest(self, capsys, name):
+        commands, want = CONSOLE_DIGESTS[name]
+        digest = hashlib.sha256()
+        for argv, code in commands:
+            assert main(argv) == code
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == want

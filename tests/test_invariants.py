@@ -28,6 +28,7 @@ from orbitinv import (
     serialize,
     validate,
 )
+from orbitinv.invariants import _ADMISSIBLE
 
 from datum_helper import datum, held_order
 from numpy_helper import numpy, numpy_case
@@ -247,6 +248,23 @@ class TestHeldOrder:
                 assert all(type(p) is SeifertPair for p in out.pairs)
             count += len(inv.pairs) > 1 and not inv.closed
         assert count > 100
+
+    def test_tied_pairs_keep_their_given_order(self):
+        # 0 and False tie, so the sort keeps them as given; the helper
+        # compares (m, n) alone, whatever else a drawn pair carries
+        drawn = [(0, 1, True), (False, 1, False)]
+        inv = datum(pairs=[pair[:2] for pair in drawn])
+        assert [type(p.m) for p in inv.pairs] == [int, bool]
+        assert held_order(drawn) == [0, 1]
+
+    def test_replace_is_a_new_datum(self):
+        bounds = EnumerationBounds(max_g=1, max_f=1, max_r=2, max_m=5, b_range=(0, 1))
+        for inv in [*enumerate_invariants(bounds), datum(g=1, pairs=[(5, 2), (3, 1)])]:
+            changed = inv.replace(t=1)
+            assert changed == OrbitInvariants(inv.b, inv.eps, inv.g, inv.f, inv.s, 1,
+                                              list(inv.pairs), inv.graph)
+            # a new datum: no verdict, no born text
+            assert _ADMISSIBLE not in changed.__dict__ and changed._text is None
 
     def test_seifert_pair_is_its_tuple(self):
         pair = SeifertPair(2, 1)

@@ -39,7 +39,7 @@ from orbitinv import (
     serialize,
     validate,
 )
-from orbitinv.cyclegraph import LABEL_NAMES
+from orbitinv.cyclegraph import LABEL_NAMES, valid_cycle_words
 from orbitinv.textio import _match_datum, _Parser
 from textio_reference import reference_parse
 
@@ -172,8 +172,6 @@ class TestRenderedOnce:
     text is invisible apart from its cost."""
 
     def test_census_canonicalizes_once_per_graph(self, monkeypatch):
-        census = list(enumerate_invariants(BOX))
-        graphs = {id(inv.graph): inv.graph for inv in census}
         real = orbitinv.cyclegraph._canonical_word
         calls = []
 
@@ -181,11 +179,23 @@ class TestRenderedOnce:
             calls.append(cycle)
             return real(cycle)
 
+        # the census renders its graphs as it enumerates, so the count
+        # covers enumeration and serialization alike: the generation of the
+        # valid words, and at most one canonicalization per cycle of each
+        # graph
         monkeypatch.setattr(orbitinv.cyclegraph, "_canonical_word", counting)
+        census = list(enumerate_invariants(BOX))
+        graphs = {id(inv.graph): inv.graph for inv in census}
         for inv in census:
             serialize(inv)
         assert len(census) == 8910
         assert 0 < len(calls) <= sum(len(g) for g in graphs.values())
+        # the census's graphs are born with their canonical words, so every
+        # call is the generation of the valid words: no graph is canonicalized
+        count = len(calls)
+        calls.clear()
+        valid_cycle_words(BOX.max_cycle_len)
+        assert count == len(calls)
 
     def test_chain_canonicalizes_each_cycle_once(self, monkeypatch):
         inv = parse("{b=0;(n,g=1,f=0,s=1,t=1);(5,2),(3,1);"
